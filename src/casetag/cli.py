@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 
-from casetag.config import ENV_CONFIG, RunConfig
+from casetag.config import ENV_CONFIG, MODE_PREDICTED, REGIME_SCRATCH, RunConfig
 from casetag.corpus import (
     CasingStats,
     LowercaseRules,
@@ -27,11 +27,8 @@ from casetag.errors import CasetagError, ConfigError
 from casetag.metrics import PrfScore, bio_decode, char_f1, span_f1
 from casetag.ner import (
     EmbeddingTable,
-    MODE_PREDICTED,
-    NerConfig,
     NerExample,
     NerModel,
-    REGIME_SCRATCH,
     augment_lowercase,
     build_char_vocab,
     build_tagset,
@@ -42,10 +39,8 @@ from casetag.ner import (
     train_ner,
 )
 from casetag.truecaser import (
-    CharVocab,
     TrainStats,
     Truecaser,
-    TruecaserConfig,
     apply_truecaser,
     eval_truecaser,
     lowercase_keep_length,
@@ -175,14 +170,8 @@ def cmd_prep_corpus(cfg: RunConfig) -> int:
 
 def cmd_train_truecaser(cfg: RunConfig) -> int:
     _require(cfg, "input", "output")
-    tc_cfg = TruecaserConfig(
-        char_emb_dim=cfg.char_emb_dim, hidden_dim=cfg.tc_hidden_dim,
-        dropout=cfg.dropout, epochs=cfg.epochs, lr=cfg.lr, seed=cfg.seed,
-        pass_through_prob=cfg.pass_through_prob, min_char_freq=cfg.min_char_freq,
-        max_sentence_chars=cfg.max_sentence_chars, dev_fraction=cfg.dev_fraction,
-        clip_norm=cfg.clip_norm)
     stats = TrainStats()
-    model = train_truecaser(_read_lines(cfg.input), tc_cfg, log=_progress, stats=stats)
+    model = train_truecaser(_read_lines(cfg.input), cfg, log=_progress, stats=stats)
     model.save(cfg.output)
     if stats.skipped_empty or stats.truncated:
         _progress(f"warning: skipped {stats.skipped_empty} empty sentences, "
@@ -227,33 +216,22 @@ def cmd_augment(cfg: RunConfig) -> int:
 
 
 def _build_ner_model(cfg: RunConfig, dataset) -> NerModel:
-    ner_cfg = NerConfig(
-        word_emb_dim=cfg.word_emb_dim, char_emb_dim=cfg.ner_char_emb_dim,
-        cnn_filters=cfg.cnn_filters, cnn_width=cfg.cnn_width,
-        hidden_dim=cfg.ner_hidden_dim, dropout=cfg.dropout, lr=cfg.lr,
-        epochs=cfg.epochs, patience=cfg.patience, seed=cfg.seed,
-        clip_norm=cfg.clip_norm, aux_weight=cfg.aux_weight,
-        pass_through_prob=cfg.pass_through_prob, case_mode=cfg.case_mode,
-        regime=cfg.regime)
     rng = np.random.default_rng(cfg.seed)
     if cfg.embeddings:
         table = read_embeddings(cfg.embeddings, cfg.word_emb_dim)
     else:
         table = EmbeddingTable.random(build_word_list(dataset), cfg.word_emb_dim, rng)
+    char_vocab = build_char_vocab(dataset)
     truecaser = None
     if cfg.case_mode == MODE_PREDICTED:
         if cfg.regime == REGIME_SCRATCH:
-            vocab = CharVocab.build(
-                [" ".join(ex.tokens) for ex in dataset]
-                + [" ".join(ex.source_tokens()) for ex in dataset],
-                min_freq=1)
-            truecaser = Truecaser(vocab, cfg.char_emb_dim, cfg.tc_hidden_dim,
+            truecaser = Truecaser(char_vocab, cfg.char_emb_dim, cfg.tc_hidden_dim,
                                   cfg.dropout, seed=int(rng.integers(2 ** 31)))
         else:
             _require(cfg, "truecaser_model")
             truecaser = Truecaser.load(cfg.truecaser_model)
-    return NerModel(table, build_tagset(dataset), build_char_vocab(dataset),
-                    ner_cfg, truecaser=truecaser, seed=int(rng.integers(2 ** 31)))
+    return NerModel(table, build_tagset(dataset), char_vocab, cfg,
+                    truecaser=truecaser, seed=int(rng.integers(2 ** 31)))
 
 
 def cmd_train_ner(cfg: RunConfig) -> int:
@@ -266,7 +244,7 @@ def cmd_train_ner(cfg: RunConfig) -> int:
     if cfg.augment:
         dataset = augment_lowercase(dataset)
     model = _build_ner_model(cfg, dataset)
-    train_ner(dataset, model.cfg, model, dev=dev, log=_progress)
+    train_ner(dataset, model, dev=dev, log=_progress)
     model.save(cfg.output)
     _progress(f"saved tagger to {cfg.output}")
     return 0

@@ -1,4 +1,5 @@
-"""Flat run configuration shared by the CLI subcommands.
+"""Flat run configuration: the one configuration of the CLI subcommands,
+the truecaser and the tagger.
 
 Stored as key=value lines; parse -> serialize -> parse is the identity.
 Path fields default to "" meaning unset.  Command-line flags override file
@@ -12,6 +13,18 @@ from dataclasses import dataclass, fields
 from casetag.errors import ConfigError, ParseError
 
 ENV_CONFIG = "CASETAG_CONFIG"
+
+MODE_NONE = "none"
+MODE_PREDICTED = "predicted"
+MODE_GOLD = "gold"
+CASE_MODES = (MODE_NONE, MODE_PREDICTED, MODE_GOLD)
+
+REGIME_FIXED = "fixed"
+REGIME_FINETUNED = "finetuned"
+REGIME_SCRATCH = "scratch"
+REGIMES = (REGIME_FIXED, REGIME_FINETUNED, REGIME_SCRATCH)
+
+SCENARIOS = ("cased", "uncased")
 
 
 @dataclass
@@ -50,8 +63,8 @@ class RunConfig:
     cnn_width: int = 3
     ner_hidden_dim: int = 256
     # tagger training
-    case_mode: str = "none"
-    regime: str = "fixed"
+    case_mode: str = MODE_NONE
+    regime: str = REGIME_FIXED
     scenario: str = "cased"
     aux_weight: float = 1.0
     patience: int = 5
@@ -109,12 +122,13 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        if self.case_mode not in ("none", "predicted", "gold"):
-            raise ConfigError(f"case_mode must be none|predicted|gold, got {self.case_mode!r}")
-        if self.regime not in ("fixed", "finetuned", "scratch"):
-            raise ConfigError(f"regime must be fixed|finetuned|scratch, got {self.regime!r}")
-        if self.scenario not in ("cased", "uncased"):
-            raise ConfigError(f"scenario must be cased|uncased, got {self.scenario!r}")
+        for key, allowed in (("case_mode", CASE_MODES), ("regime", REGIMES),
+                             ("scenario", SCENARIOS)):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ConfigError(f"{key} must be {'|'.join(allowed)}, got {value!r}")
+        if self.regime != REGIME_FIXED and self.case_mode != MODE_PREDICTED:
+            raise ConfigError(f"regime {self.regime!r} requires case mode 'predicted'")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not 0.0 <= self.pass_through_prob <= 1.0:

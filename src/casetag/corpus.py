@@ -101,10 +101,6 @@ class CasingStats:
         return stats
 
 
-def collect_casing_stats(lines: Iterable[str]) -> CasingStats:
-    return CasingStats.collect(lines)
-
-
 class LowercaseRules:
     """Surface forms to force-lowercase (titles, weekday names, most month
     names, time-zone tokens).  Matching is exact, per token."""

@@ -51,7 +51,10 @@ def write_conll(examples: list[NerExample], path: str) -> None:
 def read_embeddings(path: str, dim: int) -> EmbeddingTable:
     """One word per line followed by dim floats.  Loaded vectors are frozen;
     the unknown-word vector is their element-wise mean and stays trainable.
-    Duplicate words keep the first occurrence."""
+
+    Words are folded with str.lower(), as EmbeddingTable.lookup folds its
+    queries.  Of the lines whose words fold to the same key, the first is
+    kept; the others are counted in duplicates_skipped."""
     words: list[str] = []
     rows: list[np.ndarray] = []
     seen: set[str] = set()
@@ -70,11 +73,12 @@ def read_embeddings(path: str, dim: int) -> EmbeddingTable:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise ParseError(f"{path} line {i}: {exc}") from exc
-            if word in seen:
+            key = word.lower()
+            if key in seen:
                 duplicates += 1
                 continue
-            seen.add(word)
-            words.append(word)
+            seen.add(key)
+            words.append(key)
             rows.append(vec)
     if not rows:
         raise ParseError(f"{path}: no embedding rows")

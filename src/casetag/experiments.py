@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from casetag.config import RunConfig
 from casetag.ner import (
     MODE_GOLD,
     MODE_NONE,
@@ -18,7 +19,6 @@ from casetag.ner import (
     REGIME_FIXED,
     REGIME_SCRATCH,
     EmbeddingTable,
-    NerConfig,
     NerExample,
     NerModel,
     augment_lowercase,
@@ -30,13 +30,7 @@ from casetag.ner import (
     train_ner,
 )
 from casetag.synthetic import AMBIG, LOC_TRAIN, PER_TRAIN, ner_dataset, truecaser_corpus
-from casetag.truecaser import (
-    CharVocab,
-    Truecaser,
-    TruecaserConfig,
-    eval_truecaser,
-    train_truecaser,
-)
+from casetag.truecaser import Truecaser, eval_truecaser, train_truecaser
 
 
 # -- truecaser pretraining and its desk run ------------------------------------
@@ -45,9 +39,9 @@ def truecaser_desk_run(n_train: int = 320, n_test: int = 55, epochs: int = 20,
                        seed: int = 1, log=None):
     """Train on the unambiguous synthetic corpus and score held-out char F1."""
     train, test = truecaser_corpus(n_train, n_test, seed=101, ambig_frac=0.0)
-    cfg = TruecaserConfig(char_emb_dim=24, hidden_dim=32, dropout=0.1, epochs=epochs,
-                          lr=0.005, seed=seed, pass_through_prob=0.2,
-                          min_char_freq=1, dev_fraction=0.1)
+    cfg = RunConfig(char_emb_dim=24, tc_hidden_dim=32, dropout=0.1, epochs=epochs,
+                    lr=0.005, seed=seed, pass_through_prob=0.2,
+                    min_char_freq=1, dev_fraction=0.1)
     model = train_truecaser(train, cfg, log=log)
     return model, eval_truecaser(model, test), test
 
@@ -57,9 +51,9 @@ def pretrain_case_truecaser(seed: int = 2, log=None):
     person-name slots overlap common words (so its predictions hedge exactly
     where casing is genuinely ambiguous)."""
     train, test = truecaser_corpus(300, 50, seed=11, ambig_frac=0.3)
-    cfg = TruecaserConfig(char_emb_dim=16, hidden_dim=24, dropout=0.1, epochs=10,
-                          lr=0.005, seed=seed, pass_through_prob=0.2,
-                          min_char_freq=1, dev_fraction=0.1)
+    cfg = RunConfig(char_emb_dim=16, tc_hidden_dim=24, dropout=0.1, epochs=10,
+                    lr=0.005, seed=seed, pass_through_prob=0.2,
+                    min_char_freq=1, dev_fraction=0.1)
     model = train_truecaser(train, cfg, log=log)
     return model, test
 
@@ -67,13 +61,13 @@ def pretrain_case_truecaser(seed: int = 2, log=None):
 # -- tagger runs -----------------------------------------------------------------
 
 def _desk_ner_config(seed: int, case_mode: str, regime: str = REGIME_FIXED,
-                     hidden: int = 24, lr: float = 0.005, epochs: int = 10) -> NerConfig:
-    return NerConfig(word_emb_dim=24, char_emb_dim=8, cnn_filters=16, cnn_width=3,
-                     hidden_dim=hidden, dropout=0.1, lr=lr, epochs=epochs, patience=0,
+                     hidden: int = 24, lr: float = 0.005, epochs: int = 10) -> RunConfig:
+    return RunConfig(word_emb_dim=24, ner_char_emb_dim=8, cnn_filters=16, cnn_width=3,
+                     ner_hidden_dim=hidden, dropout=0.1, lr=lr, epochs=epochs, patience=0,
                      seed=seed, case_mode=case_mode, regime=regime)
 
 
-def _build_and_train(dataset: list[NerExample], cfg: NerConfig,
+def _build_and_train(dataset: list[NerExample], cfg: RunConfig,
                      truecaser: Truecaser | None = None,
                      oov_words: set[str] | None = None) -> NerModel:
     rng = np.random.default_rng(cfg.seed)
@@ -83,7 +77,7 @@ def _build_and_train(dataset: list[NerExample], cfg: NerConfig,
     table = EmbeddingTable.random(words, cfg.word_emb_dim, rng)
     model = NerModel(table, build_tagset(dataset), build_char_vocab(dataset), cfg,
                      truecaser=truecaser, seed=cfg.seed)
-    train_ner(dataset, cfg, model)
+    train_ner(dataset, model)
     return model
 
 
@@ -145,11 +139,8 @@ def regime_contracts(seed: int = 1, log=None, pretrained=None) -> RegimeResult:
     identical = all(np.array_equal(p.data, before[n])
                     for n, p in truecaser.named_params())
 
-    vocab = CharVocab.build([" ".join(ex.tokens) for ex in train_u]
-                            + [" ".join(ex.source_tokens()) for ex in train_u],
-                            min_freq=1)
-    fresh = Truecaser(vocab, char_emb_dim=16, hidden_dim=24, dropout_rate=0.1,
-                      seed=seed + 70)
+    fresh = Truecaser(build_char_vocab(train_u), char_emb_dim=16, hidden_dim=24,
+                      dropout_rate=0.1, seed=seed + 70)
     f1_before = 100 * eval_truecaser(fresh, tc_test).f1
     cfg = _desk_ner_config(seed, MODE_PREDICTED, regime=REGIME_SCRATCH, epochs=10)
     model = _build_and_train(train_u, cfg, truecaser=fresh)

@@ -21,6 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# the mode and regime names are defined with the run configuration and
+# re-exported here as part of the tagger's interface
+from casetag.config import (
+    MODE_GOLD,
+    MODE_NONE,
+    MODE_PREDICTED,
+    REGIME_FINETUNED,
+    REGIME_FIXED,
+    REGIME_SCRATCH,
+    RunConfig,
+)
 from casetag.crf import Crf, crf_nll, viterbi_decode
 from casetag.errors import AlignmentError, ConfigError, InputError
 from casetag.metrics import Span, bio_decode, span_f1
@@ -53,17 +64,6 @@ from casetag.truecaser import (
     make_training_example,
     split_distributions,
 )
-
-MODE_NONE = "none"
-MODE_PREDICTED = "predicted"
-MODE_GOLD = "gold"
-CASE_MODES = (MODE_NONE, MODE_PREDICTED, MODE_GOLD)
-
-REGIME_FIXED = "fixed"
-REGIME_FINETUNED = "finetuned"
-REGIME_SCRATCH = "scratch"
-REGIMES = (REGIME_FIXED, REGIME_FINETUNED, REGIME_SCRATCH)
-
 
 @dataclass
 class NerExample:
@@ -151,25 +151,6 @@ def build_char_vocab(dataset: list[NerExample], min_freq: int = 1) -> CharVocab:
     return CharVocab.build(texts, min_freq=min_freq)
 
 
-@dataclass
-class NerConfig:
-    word_emb_dim: int = 100
-    char_emb_dim: int = 16
-    cnn_filters: int = 128
-    cnn_width: int = 3
-    hidden_dim: int = 256
-    dropout: float = 0.25
-    lr: float = 0.001
-    epochs: int = 50
-    patience: int = 5
-    seed: int = 1
-    clip_norm: float = 5.0
-    aux_weight: float = 1.0
-    pass_through_prob: float = 0.2
-    case_mode: str = MODE_NONE
-    regime: str = REGIME_FIXED
-
-
 def gold_case_vectors(cased_token: str) -> np.ndarray:
     """One-hot casing rows: (1,0) for an uppercase character, (0,1) otherwise."""
     rows = np.zeros((len(cased_token), 2), dtype=np.float64)
@@ -178,12 +159,18 @@ def gold_case_vectors(cased_token: str) -> np.ndarray:
     return rows
 
 
+# container meta key -> RunConfig field of each tagger dimension; the keys
+# predate the ner_ prefix and keep their names so model files stay readable
+_META_DIMS = (("word_emb_dim", "word_emb_dim"), ("char_emb_dim", "ner_char_emb_dim"),
+              ("cnn_filters", "cnn_filters"), ("cnn_width", "cnn_width"),
+              ("hidden_dim", "ner_hidden_dim"))
+
+
 class NerModel:
     def __init__(self, word_table: EmbeddingTable, tagset: list[str],
-                 char_vocab: CharVocab, cfg: NerConfig,
+                 char_vocab: CharVocab, cfg: RunConfig,
                  truecaser: Truecaser | None = None, seed: int = 0):
-        if cfg.case_mode not in CASE_MODES:
-            raise ConfigError(f"unknown case mode {cfg.case_mode!r}; use one of {CASE_MODES}")
+        cfg.validate()
         if cfg.case_mode == MODE_PREDICTED and truecaser is None:
             raise ConfigError("predicted case mode needs an attached truecaser")
         rng = np.random.default_rng(seed)
@@ -194,11 +181,11 @@ class NerModel:
         self.char_vocab = char_vocab
         self.truecaser = truecaser
         self.case_mode = cfg.case_mode
-        char_in = cfg.char_emb_dim + (2 if cfg.case_mode != MODE_NONE else 0)
-        self.char_emb = Embedding(len(char_vocab), cfg.char_emb_dim, rng)
+        char_in = cfg.ner_char_emb_dim + (2 if cfg.case_mode != MODE_NONE else 0)
+        self.char_emb = Embedding(len(char_vocab), cfg.ner_char_emb_dim, rng)
         self.cnn = CharCNN(char_in, cfg.cnn_filters, cfg.cnn_width, rng)
-        self.lstm = BiLSTM(word_table.dim + cfg.cnn_filters, cfg.hidden_dim, rng)
-        self.emit = Linear(2 * cfg.hidden_dim, len(self.tagset), rng)
+        self.lstm = BiLSTM(word_table.dim + cfg.cnn_filters, cfg.ner_hidden_dim, rng)
+        self.emit = Linear(2 * cfg.ner_hidden_dim, len(self.tagset), rng)
         self.crf = Crf(len(self.tagset), rng)
 
     def named_params(self):
@@ -259,9 +246,8 @@ class NerModel:
     def to_container(self) -> Container:
         c = Container()
         c.meta["kind"] = "ner"
-        for key in ("word_emb_dim", "char_emb_dim", "cnn_filters", "cnn_width",
-                    "hidden_dim"):
-            c.meta[key] = str(getattr(self.cfg, key))
+        for key, field_name in _META_DIMS:
+            c.meta[key] = str(getattr(self.cfg, field_name))
         c.meta["dropout"] = repr(self.cfg.dropout)
         c.meta["case_mode"] = self.case_mode
         c.meta["words_trainable"] = "1" if self.word_table.trainable else "0"
@@ -279,15 +265,8 @@ class NerModel:
     @classmethod
     def load(cls, path: str) -> "NerModel":
         c = Container.load(path)
-        cfg = NerConfig(
-            word_emb_dim=int(c.meta["word_emb_dim"]),
-            char_emb_dim=int(c.meta["char_emb_dim"]),
-            cnn_filters=int(c.meta["cnn_filters"]),
-            cnn_width=int(c.meta["cnn_width"]),
-            hidden_dim=int(c.meta["hidden_dim"]),
-            dropout=float(c.meta["dropout"]),
-            case_mode=c.meta["case_mode"],
-        )
+        cfg = RunConfig(dropout=float(c.meta["dropout"]), case_mode=c.meta["case_mode"],
+                        **{name: int(c.meta[key]) for key, name in _META_DIMS})
         words = c.sections["words"]
         dim = cfg.word_emb_dim
         trainable = c.meta["words_trainable"] == "1"
@@ -328,22 +307,21 @@ class NerTrainStats:
     stopped_epoch: int | None = None
 
 
-def train_ner(dataset: list[NerExample], cfg: NerConfig, model: NerModel,
+def train_ner(dataset: list[NerExample], model: NerModel,
               dev: list[NerExample] | None = None, log=None,
               stats: NerTrainStats | None = None) -> NerModel:
-    """Sentence-at-a-time training; loss = CRF NLL plus (in the finetuned and
-    scratch regimes) aux_weight times the truecasing cross-entropy on the
-    sentence's original casing.  Tag-loss gradients never reach the truecaser."""
+    """Sentence-at-a-time training under model.cfg; loss = CRF NLL plus (in
+    the finetuned and scratch regimes) aux_weight times the truecasing
+    cross-entropy on the sentence's original casing.  Tag-loss gradients
+    never reach the truecaser."""
+    cfg = model.cfg
+    cfg.validate()
     if not dataset:
         raise ConfigError("empty training dataset")
-    if cfg.regime not in REGIMES:
-        raise ConfigError(f"unknown regime {cfg.regime!r}; use one of {REGIMES}")
-    if cfg.regime != REGIME_FIXED and cfg.case_mode != MODE_PREDICTED:
-        raise ConfigError(f"regime {cfg.regime!r} requires case mode 'predicted'")
     if cfg.case_mode == MODE_GOLD and not _dataset_has_casing(dataset):
         raise ConfigError("gold case vectors requested but the training text carries no casing")
-    aux_active = cfg.case_mode == MODE_PREDICTED and cfg.regime in (REGIME_FINETUNED,
-                                                                    REGIME_SCRATCH)
+    # validate() admits the finetuned and scratch regimes only in predicted mode
+    aux_active = cfg.regime != REGIME_FIXED
     stats = stats if stats is not None else NerTrainStats()
     rng = np.random.default_rng(cfg.seed)
 
@@ -362,7 +340,7 @@ def train_ner(dataset: list[NerExample], cfg: NerConfig, model: NerModel,
             aux = None
             dists = None
             if model.case_mode == MODE_PREDICTED:
-                aux, dists = _truecaser_pass(model, ex, cfg, aux_active, rng)
+                aux, dists = _truecaser_pass(model, ex, aux_active, rng)
             loss = crf_nll(model.emissions(ex, train=True, rng=rng,
                                            dists_per_token=dists), gold_ids, model.crf)
             if aux is not None:
@@ -395,8 +373,8 @@ def train_ner(dataset: list[NerExample], cfg: NerConfig, model: NerModel,
     return model
 
 
-def _truecaser_pass(model: NerModel, ex: NerExample, cfg: NerConfig,
-                    aux_active: bool, rng: np.random.Generator):
+def _truecaser_pass(model: NerModel, ex: NerExample, aux_active: bool,
+                    rng: np.random.Generator):
     """One truecaser forward per sentence.
 
     Predictions for the tagger always come from the lowercased sentence and
@@ -411,7 +389,7 @@ def _truecaser_pass(model: NerModel, ex: NerExample, cfg: NerConfig,
             dist = model.truecaser.distributions(lowered)
         return None, split_distributions(dist, tokens)
     source_text = " ".join(ex.source_tokens())
-    tc_ex = make_training_example(source_text, cfg.pass_through_prob, rng)
+    tc_ex = make_training_example(source_text, model.cfg.pass_through_prob, rng)
     logits = model.truecaser.logits(tc_ex.chars, train=True, rng=rng)
     aux = cross_entropy(logits, tc_ex.labels)
     if tc_ex.chars == lowered:

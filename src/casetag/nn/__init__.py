@@ -9,7 +9,6 @@ from casetag.nn.tensor import (
     no_grad,
     softmax,
     stack,
-    tensor,
     zeros,
 )
 from casetag.nn.layers import BiLSTM, CharCNN, Embedding, Linear, LSTMCell, dropout, glorot, prefixed
@@ -19,7 +18,7 @@ from casetag.nn.serialize import Container, restore_params, store_params
 
 __all__ = [
     "DTYPE", "Tensor", "as_tensor", "concat", "cross_entropy", "log_softmax",
-    "logsumexp", "no_grad", "softmax", "stack", "tensor", "zeros",
+    "logsumexp", "no_grad", "softmax", "stack", "zeros",
     "BiLSTM", "CharCNN", "Embedding", "Linear", "LSTMCell", "dropout", "glorot", "prefixed",
     "Adam", "clip_global_norm", "GradCheckReport", "gradient_check",
     "Container", "restore_params", "store_params",

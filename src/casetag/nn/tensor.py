@@ -306,10 +306,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.array(data, dtype=DTYPE), requires_grad=requires_grad)
-
-
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=DTYPE), requires_grad=requires_grad)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from casetag.config import RunConfig
 from casetag.errors import ConfigError, InputError
 from casetag.metrics import PrfScore, char_f1
 from casetag.nn import (
@@ -129,21 +130,6 @@ class CharVocab:
         return cls(chars)
 
 
-@dataclass
-class TruecaserConfig:
-    char_emb_dim: int = 50
-    hidden_dim: int = 100
-    dropout: float = 0.25
-    epochs: int = 20
-    lr: float = 0.001
-    seed: int = 1
-    pass_through_prob: float = 0.2
-    min_char_freq: int = 5
-    max_sentence_chars: int = 1000
-    dev_fraction: float = 0.1
-    clip_norm: float = 5.0
-
-
 class Truecaser:
     def __init__(self, vocab: CharVocab, char_emb_dim: int = 50, hidden_dim: int = 100,
                  dropout_rate: float = 0.25, seed: int = 0):
@@ -213,10 +199,15 @@ class TrainStats:
     epoch_log: list = field(default_factory=list)
 
 
-def train_truecaser(sentences: list[str], cfg: TruecaserConfig,
+def train_truecaser(sentences: list[str], cfg: RunConfig,
                     log=None, stats: TrainStats | None = None) -> Truecaser:
-    """Per-character cross-entropy training; deterministic given cfg.seed."""
-    sentences = [s for s in sentences]
+    """Per-character cross-entropy training; deterministic given cfg.seed.
+
+    Empty training sentences are dropped and longer ones truncated to
+    cfg.max_sentence_chars, once, after the held-out split and the
+    vocabulary are made; stats counts both."""
+    cfg.validate()
+    sentences = list(sentences)
     if not sentences:
         raise ConfigError("empty training corpus")
     stats = stats if stats is not None else TrainStats()
@@ -230,30 +221,26 @@ def train_truecaser(sentences: list[str], cfg: TruecaserConfig,
         raise ConfigError("no training sentences left after the held-out split")
 
     vocab = CharVocab.build(train, min_freq=cfg.min_char_freq)
-    model = Truecaser(vocab, cfg.char_emb_dim, cfg.hidden_dim, cfg.dropout,
+    model = Truecaser(vocab, cfg.char_emb_dim, cfg.tc_hidden_dim, cfg.dropout,
                       seed=int(rng.integers(2 ** 31)))
+    kept = [sent[:cfg.max_sentence_chars] for sent in train if sent]
+    stats.skipped_empty += len(train) - len(kept)
+    stats.truncated += sum(len(sent) > cfg.max_sentence_chars for sent in train)
+    train = kept
     params = model.named_params()
     opt = Adam([p for _, p in params], lr=cfg.lr)
 
     for epoch in range(cfg.epochs):
         perm = rng.permutation(len(train))
-        total, count = 0.0, 0
+        total = 0.0
         for idx in perm:
-            sent = train[idx]
-            if not sent:
-                stats.skipped_empty += 1
-                continue
-            if len(sent) > cfg.max_sentence_chars:
-                sent = sent[:cfg.max_sentence_chars]
-                stats.truncated += 1
-            ex = make_training_example(sent, cfg.pass_through_prob, rng)
+            ex = make_training_example(train[idx], cfg.pass_through_prob, rng)
             loss = cross_entropy(model.logits(ex.chars, train=True, rng=rng), ex.labels)
             total += loss.item()
-            count += 1
             loss.backward()
             clip_global_norm(opt.params, cfg.clip_norm)
             opt.step()
-        entry = {"epoch": epoch + 1, "train_loss": total / max(count, 1),
+        entry = {"epoch": epoch + 1, "train_loss": total / max(len(train), 1),
                  "dev_loss": held_out_loss(model, dev)}
         stats.epoch_log.append(entry)
         if log is not None:

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from casetag.cli import main
+from casetag.config import RunConfig
 from casetag.corpus import (
     CasingStats,
     LowercaseRules,
     apply_lowercase_rules,
     caps_ratio_filter,
-    collect_casing_stats,
     normalize_first_word,
 )
 from casetag.crf import (
@@ -38,7 +38,6 @@ from casetag.metrics import Span, bio_decode, char_f1, span_f1
 from casetag.ner import (
     MODE_GOLD,
     MODE_NONE,
-    NerConfig,
     NerExample,
     NerModel,
     EmbeddingTable,
@@ -108,8 +107,8 @@ def test_criterion_1_gradient_suite():
 
     data = [NerExample("Alan visited Boston .".split(), ["B-PER", "O", "B-LOC", "O"]),
             NerExample("the cup was heavy .".split(), ["O"] * 5)]
-    cfg = NerConfig(word_emb_dim=5, char_emb_dim=3, cnn_filters=4, cnn_width=3,
-                    hidden_dim=2, dropout=0.0, case_mode=MODE_NONE, seed=1)
+    cfg = RunConfig(word_emb_dim=5, ner_char_emb_dim=3, cnn_filters=4, cnn_width=3,
+                    ner_hidden_dim=2, dropout=0.0, case_mode=MODE_NONE, seed=1)
     table = EmbeddingTable.random(build_word_list(data), 5, np.random.default_rng(2))
     model = NerModel(table, build_tagset(data), build_char_vocab(data), cfg, seed=2)
     ex = data[0]
@@ -118,8 +117,8 @@ def test_criterion_1_gradient_suite():
         return crf_nll(model.emissions(ex), gold, model.crf)
     worst["ner_stack"] = gradient_check(ner_loss, model.named_params()).max_error
 
-    gold_cfg = NerConfig(word_emb_dim=5, char_emb_dim=3, cnn_filters=4, cnn_width=3,
-                         hidden_dim=2, dropout=0.0, case_mode=MODE_GOLD, seed=1)
+    gold_cfg = RunConfig(word_emb_dim=5, ner_char_emb_dim=3, cnn_filters=4, cnn_width=3,
+                         ner_hidden_dim=2, dropout=0.0, case_mode=MODE_GOLD, seed=1)
     gold_model = NerModel(table, build_tagset(data), build_char_vocab(data), gold_cfg, seed=3)
     def gold_loss():
         return crf_nll(gold_model.emissions(ex), gold, gold_model.crf)
@@ -163,7 +162,7 @@ def test_criterion_2_crf_oracle_suite():
 
 def test_criterion_3_preprocessing_fixtures():
     rules = LowercaseRules.default()
-    stats = collect_casing_stats([
+    stats = CasingStats.collect([
         "it is for the best",
         "looking for the answer",
         "waiting for rain",
@@ -180,9 +179,9 @@ def test_criterion_3_preprocessing_fixtures():
             == "for example , yes".split(),
     }
     lines = ["a The cat", "b the cat", "a Dog ran", "c the END"] * 7
-    single = collect_casing_stats(lines)
-    merged = collect_casing_stats(lines[:11])
-    merged.merge(collect_casing_stats(lines[11:]))
+    single = CasingStats.collect(lines)
+    merged = CasingStats.collect(lines[:11])
+    merged.merge(CasingStats.collect(lines[11:]))
     checks["shard merge exact"] = (merged.counts == single.counts
                                    and merged.total_tokens == single.total_tokens)
     report(3, "preprocessing fixtures", all(checks.values()),

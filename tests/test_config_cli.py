@@ -96,6 +96,16 @@ def test_missing_file_is_diagnosed(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_regime_without_predicted_mode_is_a_config_error(tmp_path, capsys):
+    rc = main(["train-ner", "--case-mode", "none", "--regime", "finetuned",
+               "--train", str(tmp_path / "nope.conll"), "--output", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "casetag: error:" in err
+    assert "regime 'finetuned'" in err
+    assert "i/o error" not in err
+
+
 # -- individual commands --------------------------------------------------------------
 
 def test_eval_truecaser_identical_files(tmp_path, capsys):

@@ -11,7 +11,6 @@ from casetag.corpus import (
     PrepReport,
     apply_lowercase_rules,
     caps_ratio_filter,
-    collect_casing_stats,
     normalize_first_word,
     prepare_corpus,
 )
@@ -38,19 +37,19 @@ def stats():
 # -- statistics ----------------------------------------------------------------
 
 def test_collect_counts_and_most_common():
-    stats = collect_casing_stats(["a the cat", "a The dog", "a the end"])
+    stats = CasingStats.collect(["a the cat", "a The dog", "a the end"])
     assert stats.counts["the"] == {"the": 2, "The": 1}
     assert stats.most_common("the") == "the"
 
 
 def test_collect_skips_sentence_initial_tokens():
-    stats = collect_casing_stats(["The cat sat", "The dog ran"])
+    stats = CasingStats.collect(["The cat sat", "The dog ran"])
     assert "the" not in stats.counts  # only initial positions carried "The"
     assert stats.most_common("cat") == "cat"
 
 
 def test_empty_corpus_empty_table():
-    stats = collect_casing_stats([])
+    stats = CasingStats.collect([])
     assert stats.counts == {} and stats.total_tokens == 0
 
 
@@ -62,9 +61,9 @@ def test_most_common_tie_breaks_lexicographically():
 
 def test_shard_merge_equals_single_pass():
     lines = [f"w{i % 3} Tok{i % 5} more words Here" for i in range(40)]
-    single = collect_casing_stats(lines)
-    a = collect_casing_stats(lines[:17])
-    b = collect_casing_stats(lines[17:])
+    single = CasingStats.collect(lines)
+    a = CasingStats.collect(lines[:17])
+    b = CasingStats.collect(lines[17:])
     a.merge(b)
     assert a.counts == single.counts
     assert a.total_tokens == single.total_tokens
@@ -75,14 +74,14 @@ def test_shard_merge_equals_single_pass():
        st.integers(1, 19))
 def test_shard_merge_property(sentences, cut):
     lines = [" ".join(s) for s in sentences]
-    single = collect_casing_stats(lines)
-    a = collect_casing_stats(lines[:cut])
-    a.merge(collect_casing_stats(lines[cut:]))
+    single = CasingStats.collect(lines)
+    a = CasingStats.collect(lines[:cut])
+    a.merge(CasingStats.collect(lines[cut:]))
     assert a.counts == single.counts and a.total_tokens == single.total_tokens
 
 
 def test_stats_file_roundtrip_bit_exact(tmp_path):
-    stats = collect_casing_stats(["a The fox", "a the Fox", "b the fox"])
+    stats = CasingStats.collect(["a The fox", "a the Fox", "b the fox"])
     p1, p2 = tmp_path / "s1.tsv", tmp_path / "s2.tsv"
     stats.save(str(p1))
     CasingStats.load(str(p1)).save(str(p2))
@@ -93,7 +92,7 @@ def test_stats_file_roundtrip_bit_exact(tmp_path):
 
 
 def test_stats_file_handles_colons_in_tokens(tmp_path):
-    stats = collect_casing_stats(["x 12:30 12:30 Le:On"])
+    stats = CasingStats.collect(["x 12:30 12:30 Le:On"])
     p = tmp_path / "s.tsv"
     stats.save(str(p))
     loaded = CasingStats.load(str(p))

@@ -103,6 +103,17 @@ def test_embeddings_lookup_lowercases_key(tmp_path):
     assert np.allclose(table.lookup("CAT").data, [1, 2, 3])
 
 
+def test_embeddings_cased_rows_are_reachable_and_folded_first_wins(tmp_path):
+    path = _embedding_file(tmp_path, ["Boston 1 2 3", "paris 4 5 6", "boston 7 8 9",
+                                      "PARIS 0 0 0"])
+    table = read_embeddings(path, dim=3)
+    assert table.words == ["boston", "paris"]
+    assert np.allclose(table.lookup("Boston").data, [1, 2, 3])
+    assert np.allclose(table.lookup("boston").data, [1, 2, 3])
+    assert np.allclose(table.lookup("Paris").data, [4, 5, 6])
+    assert table.duplicates_skipped == 2
+
+
 def test_loaded_embeddings_frozen_unk_trainable(tmp_path):
     path = _embedding_file(tmp_path, ["cat 1 2 3"])
     table = read_embeddings(path, dim=3)

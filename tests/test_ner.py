@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casetag.config import RunConfig
 from casetag.errors import AlignmentError, ConfigError
 from casetag.metrics import Span
 from casetag.nn import Tensor, gradient_check, no_grad
@@ -16,7 +17,6 @@ from casetag.ner import (
     REGIME_FIXED,
     REGIME_SCRATCH,
     EmbeddingTable,
-    NerConfig,
     NerExample,
     NerModel,
     augment_lowercase,
@@ -32,8 +32,8 @@ from casetag.ner import (
 )
 from casetag.truecaser import CharVocab, Truecaser, eval_truecaser
 
-TINY = dict(word_emb_dim=6, char_emb_dim=4, cnn_filters=5, cnn_width=3,
-            hidden_dim=3, dropout=0.0)
+TINY = dict(word_emb_dim=6, ner_char_emb_dim=4, cnn_filters=5, cnn_width=3,
+            ner_hidden_dim=3, dropout=0.0)
 
 
 def tiny_dataset():
@@ -52,7 +52,7 @@ def tiny_truecaser(dataset, seed=0):
 
 
 def tiny_model(dataset, mode=MODE_NONE, truecaser=None, seed=0, **overrides):
-    cfg = NerConfig(case_mode=mode, seed=seed, **{**TINY, **overrides})
+    cfg = RunConfig(case_mode=mode, seed=seed, **{**TINY, **overrides})
     rng = np.random.default_rng(seed)
     table = EmbeddingTable.random(build_word_list(dataset), cfg.word_emb_dim, rng)
     return NerModel(table, build_tagset(dataset), build_char_vocab(dataset), cfg,
@@ -70,14 +70,14 @@ def test_none_mode_token_dim_is_word_plus_filters():
 
 def test_full_scale_dims():
     data = tiny_dataset()
-    model = tiny_model(data, word_emb_dim=100, char_emb_dim=16, cnn_filters=128,
-                       hidden_dim=8)
+    model = tiny_model(data, word_emb_dim=100, ner_char_emb_dim=16, cnn_filters=128,
+                       ner_hidden_dim=8)
     assert model.token_repr("Alan", "Alan").shape == (228,)
     assert model.cnn.in_dim == 16
     predicted = tiny_model(data, mode=MODE_PREDICTED,
                            truecaser=tiny_truecaser(data),
-                           word_emb_dim=100, char_emb_dim=16, cnn_filters=128,
-                           hidden_dim=8)
+                           word_emb_dim=100, ner_char_emb_dim=16, cnn_filters=128,
+                           ner_hidden_dim=8)
     assert predicted.cnn.in_dim == 18
 
 
@@ -243,10 +243,9 @@ def test_predict_matches_reference_bio_decoder():
 # -- training regimes ---------------------------------------------------------------
 
 def quick_cfg(model, **kw):
-    cfg = model.cfg
     for k, v in kw.items():
-        setattr(cfg, k, v)
-    return cfg
+        setattr(model.cfg, k, v)
+    return model
 
 
 def test_train_loss_decreases_monotonically_ten_sentences():
@@ -262,7 +261,7 @@ def test_train_loss_decreases_monotonically_ten_sentences():
     model = tiny_model(data, seed=4)
     from casetag.ner import NerTrainStats
     stats = NerTrainStats()
-    train_ner(data, quick_cfg(model, epochs=5, lr=0.001, patience=0), model, stats=stats)
+    train_ner(data, quick_cfg(model, epochs=5, lr=0.001, patience=0), stats=stats)
     losses = [e["train_loss"] for e in stats.epoch_log]
     assert all(b < a for a, b in zip(losses, losses[1:])), losses
 
@@ -273,7 +272,7 @@ def test_fixed_regime_freezes_truecaser_bit_for_bit():
     before = {n: p.data.copy() for n, p in tc.named_params()}
     model = tiny_model(data, mode=MODE_PREDICTED, truecaser=tc, seed=5)
     train_ner(data, quick_cfg(model, epochs=2, patience=0, regime=REGIME_FIXED),
-              model, dev=None)
+              dev=None)
     for name, p in tc.named_params():
         assert np.array_equal(p.data, before[name]), name
 
@@ -283,8 +282,7 @@ def test_finetuned_regime_moves_truecaser_via_aux_loss():
     tc = tiny_truecaser(data, seed=6)
     before = {n: p.data.copy() for n, p in tc.named_params()}
     model = tiny_model(data, mode=MODE_PREDICTED, truecaser=tc, seed=6)
-    train_ner(data, quick_cfg(model, epochs=2, patience=0, regime=REGIME_FINETUNED),
-              model)
+    train_ner(data, quick_cfg(model, epochs=2, patience=0, regime=REGIME_FINETUNED))
     moved = any(not np.array_equal(p.data, before[n]) for n, p in tc.named_params())
     assert moved
 
@@ -293,7 +291,7 @@ def test_scratch_regime_requires_predicted_mode():
     data = tiny_dataset()
     model = tiny_model(data)
     with pytest.raises(ConfigError):
-        train_ner(data, quick_cfg(model, regime=REGIME_SCRATCH), model)
+        train_ner(data, quick_cfg(model, regime=REGIME_SCRATCH))
 
 
 def test_gold_mode_rejects_caseless_training_text():
@@ -301,13 +299,13 @@ def test_gold_mode_rejects_caseless_training_text():
             NerExample(["the", "cup"], ["O", "O"])]
     model = tiny_model(data, mode=MODE_GOLD)
     with pytest.raises(ConfigError):
-        train_ner(data, model.cfg, model)
+        train_ner(data, model)
 
 
 def test_gold_mode_accepts_lowercased_dataset_with_source():
     data = lowercase_dataset(tiny_dataset())
     model = tiny_model(data, mode=MODE_GOLD, seed=7)
-    train_ner(data, quick_cfg(model, epochs=1, patience=0), model)
+    train_ner(data, quick_cfg(model, epochs=1, patience=0))
 
 
 def test_early_stopping_restores_best(monkeypatch):
@@ -315,7 +313,7 @@ def test_early_stopping_restores_best(monkeypatch):
     model = tiny_model(data, seed=8)
     from casetag.ner import NerTrainStats
     stats = NerTrainStats()
-    train_ner(data, quick_cfg(model, epochs=6, patience=1), model,
+    train_ner(data, quick_cfg(model, epochs=6, patience=1),
               dev=data[:2], stats=stats)
     assert stats.best_dev_f1 is not None
 
@@ -325,7 +323,7 @@ def test_train_deterministic_same_seed():
     runs = []
     for _ in range(2):
         model = tiny_model(data, seed=9)
-        train_ner(data, quick_cfg(model, epochs=2, patience=0), model)
+        train_ner(data, quick_cfg(model, epochs=2, patience=0))
         runs.append({n: p.data.copy() for n, p in model.named_params()})
     for name in runs[0]:
         assert np.array_equal(runs[0][name], runs[1][name]), name
@@ -337,7 +335,7 @@ def test_model_save_load_same_predictions(tmp_path):
     data = tiny_dataset()
     tc = tiny_truecaser(data, seed=10)
     model = tiny_model(data, mode=MODE_PREDICTED, truecaser=tc, seed=10)
-    train_ner(data, quick_cfg(model, epochs=1, patience=0), model)
+    train_ner(data, quick_cfg(model, epochs=1, patience=0))
     path = tmp_path / "ner.ctr"
     model.save(str(path))
     again = NerModel.load(str(path))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from casetag.config import RunConfig
 from casetag.errors import ConfigError, InputError
 from casetag.metrics import char_f1
 from casetag.truecaser import (
@@ -14,7 +15,6 @@ from casetag.truecaser import (
     UPPER,
     CharVocab,
     Truecaser,
-    TruecaserConfig,
     TrainStats,
     apply_truecaser,
     case_distributions_for_tokens,
@@ -163,14 +163,14 @@ OVERFIT_CORPUS = ["Alan met Rob .", "so Alan ran off", "Rob saw Alan wave",
 
 
 def overfit_config(epochs=60):
-    return TruecaserConfig(char_emb_dim=8, hidden_dim=8, dropout=0.0, epochs=epochs,
-                           lr=0.01, seed=3, pass_through_prob=0.0, min_char_freq=1,
-                           dev_fraction=0.0)
+    return RunConfig(char_emb_dim=8, tc_hidden_dim=8, dropout=0.0, epochs=epochs,
+                     lr=0.01, seed=3, pass_through_prob=0.0, min_char_freq=1,
+                     dev_fraction=0.0)
 
 
 def test_train_empty_corpus_raises():
     with pytest.raises(ConfigError):
-        train_truecaser([], TruecaserConfig())
+        train_truecaser([], RunConfig())
 
 
 def test_train_overfits_single_sentence():
@@ -182,8 +182,8 @@ def test_train_overfits_single_sentence():
 
 
 def test_train_reports_heldout_loss_per_epoch():
-    cfg = TruecaserConfig(char_emb_dim=4, hidden_dim=4, dropout=0.0, epochs=2,
-                          lr=0.01, seed=1, min_char_freq=1, dev_fraction=0.3)
+    cfg = RunConfig(char_emb_dim=4, tc_hidden_dim=4, dropout=0.0, epochs=2,
+                    lr=0.01, seed=1, min_char_freq=1, dev_fraction=0.3)
     stats = TrainStats()
     train_truecaser(["Alan ran .", "Rob sat .", "so it goes", "Alan saw Rob",
                      "none here", "more words"], cfg, stats=stats)
@@ -192,12 +192,22 @@ def test_train_reports_heldout_loss_per_epoch():
 
 
 def test_train_truncates_and_counts_long_sentences():
-    cfg = TruecaserConfig(char_emb_dim=4, hidden_dim=4, dropout=0.0, epochs=1,
-                          lr=0.01, seed=1, min_char_freq=1, dev_fraction=0.0,
-                          max_sentence_chars=40)
+    cfg = RunConfig(char_emb_dim=4, tc_hidden_dim=4, dropout=0.0, epochs=1,
+                    lr=0.01, seed=1, min_char_freq=1, dev_fraction=0.0,
+                    max_sentence_chars=40)
     stats = TrainStats()
     train_truecaser(["word " * 20 + "End", "short one"], cfg, stats=stats)
     assert stats.truncated == 1
+
+
+def test_train_counts_skipped_and_truncated_once_over_epochs():
+    cfg = RunConfig(char_emb_dim=4, tc_hidden_dim=4, dropout=0.0, epochs=2,
+                    lr=0.01, seed=1, min_char_freq=1, dev_fraction=0.0,
+                    max_sentence_chars=40)
+    stats = TrainStats()
+    train_truecaser(["word " * 20 + "End", "short one", ""], cfg, stats=stats)
+    assert len(stats.epoch_log) == 2
+    assert (stats.truncated, stats.skipped_empty) == (1, 1)
 
 
 def test_train_deterministic_bit_for_bit():
