@@ -22,7 +22,7 @@ from casetag.corpus import (
     PrepReport,
     prepare_corpus,
 )
-from casetag.data import read_conll, read_embeddings, write_conll
+from casetag.data import read_conll, read_embeddings, text_lines, write_conll
 from casetag.errors import CasetagError, ConfigError
 from casetag.metrics import PrfScore, bio_decode, char_f1, span_f1
 from casetag.ner import (
@@ -129,11 +129,6 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise ConfigError(f"missing required option {flag}")
 
 
-def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
-
-
 def _write_lines(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
@@ -149,7 +144,7 @@ def _progress(msg: str) -> None:
 
 def cmd_prep_stats(cfg: RunConfig) -> int:
     _require(cfg, "input", "output")
-    stats = CasingStats.collect(_read_lines(cfg.input))
+    stats = CasingStats.collect(text_lines(cfg.input))
     stats.save(cfg.output)
     _progress(f"collected casing statistics for {len(stats.counts)} words "
               f"over {stats.total_tokens} tokens")
@@ -161,7 +156,7 @@ def cmd_prep_corpus(cfg: RunConfig) -> int:
     stats = CasingStats.load(cfg.stats)
     rules = LowercaseRules.load(cfg.rules) if cfg.rules else LowercaseRules.default()
     report = PrepReport()
-    cleaned = prepare_corpus(_read_lines(cfg.input), stats, rules,
+    cleaned = prepare_corpus(text_lines(cfg.input), stats, rules,
                              threshold=cfg.caps_threshold, report=report)
     _write_lines(cfg.output, cleaned)
     print(report.block())
@@ -171,7 +166,7 @@ def cmd_prep_corpus(cfg: RunConfig) -> int:
 def cmd_train_truecaser(cfg: RunConfig) -> int:
     _require(cfg, "input", "output")
     stats = TrainStats()
-    model = train_truecaser(_read_lines(cfg.input), cfg, log=_progress, stats=stats)
+    model = train_truecaser(text_lines(cfg.input), cfg, log=_progress, stats=stats)
     model.save(cfg.output)
     if stats.skipped_empty or stats.truncated:
         _progress(f"warning: skipped {stats.skipped_empty} empty sentences, "
@@ -184,7 +179,7 @@ def cmd_truecase(cfg: RunConfig) -> int:
     _require(cfg, "model", "input")
     model = Truecaser.load(cfg.model)
     out = []
-    for line in _read_lines(cfg.input):
+    for line in text_lines(cfg.input):
         text = lowercase_keep_length(line)[0] if cfg.lowercase else line
         out.append(apply_truecaser(model, text) if text else text)
     if cfg.output:
@@ -197,9 +192,9 @@ def cmd_truecase(cfg: RunConfig) -> int:
 
 def cmd_eval_truecaser(cfg: RunConfig) -> int:
     _require(cfg, "gold")
-    gold = _read_lines(cfg.gold)
+    gold = text_lines(cfg.gold)
     if cfg.pred:
-        score = char_f1(gold, _read_lines(cfg.pred))
+        score = char_f1(gold, text_lines(cfg.pred))
     elif cfg.model:
         score = eval_truecaser(Truecaser.load(cfg.model), gold)
     else:

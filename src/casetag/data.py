@@ -9,6 +9,24 @@ from casetag.errors import ParseError
 from casetag.ner import EmbeddingTable, NerExample
 
 
+def text_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, newlines stripped.  Bytes that are
+    not UTF-8 raise ParseError naming the file and the line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [raw.rstrip("\n") for raw in fh]
+    except UnicodeDecodeError as exc:
+        # the decoder works in blocks, so find the line again in bytes
+        i = 0
+        with open(path, "rb") as fh:
+            for i, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise ParseError(f"{path} line {i}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_conll(path: str) -> list[NerExample]:
     """Whitespace-separated columns, token first, BIO tag last; blank lines
     separate sentences; -DOCSTART- lines are skipped."""
@@ -22,20 +40,18 @@ def read_conll(path: str) -> list[NerExample]:
             examples.append(NerExample(tokens, tags))
             tokens, tags = [], []
 
-    with open(path, encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            cols = line.split()
-            if cols[0].startswith("-DOCSTART-"):
-                flush()
-                continue
-            if len(cols) < 2:
-                raise ParseError(f"{path} line {i}: token without a tag column: {line!r}")
-            tokens.append(cols[0])
-            tags.append(cols[-1])
+    for i, line in enumerate(text_lines(path), start=1):
+        if not line.strip():
+            flush()
+            continue
+        cols = line.split()
+        if cols[0].startswith("-DOCSTART-"):
+            flush()
+            continue
+        if len(cols) < 2:
+            raise ParseError(f"{path} line {i}: token without a tag column: {line!r}")
+        tokens.append(cols[0])
+        tags.append(cols[-1])
     flush()
     return examples
 
@@ -59,27 +75,25 @@ def read_embeddings(path: str, dim: int) -> EmbeddingTable:
     rows: list[np.ndarray] = []
     seen: set[str] = set()
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
-        for i, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(" ")
-            word, values = parts[0], parts[1:]
-            if len(values) != dim:
-                raise ParseError(
-                    f"{path} line {i}: expected {dim} floats for {word!r}, got {len(values)}")
-            try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise ParseError(f"{path} line {i}: {exc}") from exc
-            key = word.lower()
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            words.append(key)
-            rows.append(vec)
+    for i, line in enumerate(text_lines(path), start=1):
+        if not line:
+            continue
+        parts = line.split(" ")
+        word, values = parts[0], parts[1:]
+        if len(values) != dim:
+            raise ParseError(
+                f"{path} line {i}: expected {dim} floats for {word!r}, got {len(values)}")
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise ParseError(f"{path} line {i}: {exc}") from exc
+        key = word.lower()
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        words.append(key)
+        rows.append(vec)
     if not rows:
         raise ParseError(f"{path}: no embedding rows")
     matrix = np.stack(rows)

@@ -47,7 +47,6 @@ from casetag.nn import (
     concat,
     cross_entropy,
     dropout,
-    no_grad,
     prefixed,
     restore_params,
     softmax,
@@ -117,6 +116,10 @@ class EmbeddingTable:
     def lookup(self, word: str) -> Tensor:
         i = self.index.get(word.lower())
         return self.unk if i is None else self.vectors[i]
+
+    def infer(self, word: str) -> np.ndarray:
+        i = self.index.get(word.lower())
+        return self.unk.data if i is None else self.vectors.data[i]
 
     @classmethod
     def random(cls, words: list[str], dim: int, rng: np.random.Generator) -> "EmbeddingTable":
@@ -199,41 +202,67 @@ class NerModel:
 
     # -- forward -----------------------------------------------------------
 
+    def _case_rows(self, token: str, cased_token: str,
+                  dists: np.ndarray | None) -> np.ndarray | None:
+        """The two case columns appended to the token's character embeddings,
+        or None in mode none."""
+        if self.case_mode == MODE_PREDICTED:
+            if dists is None or len(dists) != len(token):
+                got = "none" if dists is None else str(len(dists))
+                raise AlignmentError(
+                    f"token {token!r} needs {len(token)} case distributions, got {got}")
+            return np.asarray(dists, dtype=np.float64)
+        if self.case_mode == MODE_GOLD:
+            if len(cased_token) != len(token):
+                raise AlignmentError(
+                    f"cased form {cased_token!r} does not align with token {token!r}")
+            return gold_case_vectors(cased_token)
+        return None
+
     def token_repr(self, token: str, cased_token: str,
                    dists: np.ndarray | None = None,
                    train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         """Word vector concatenated with the char-CNN encoding of the token."""
         word_vec = self.word_table.lookup(token)
         char_mat = self.char_emb(self.char_vocab.encode(token))
-        if self.case_mode == MODE_PREDICTED:
-            if dists is None or len(dists) != len(token):
-                got = "none" if dists is None else str(len(dists))
-                raise AlignmentError(
-                    f"token {token!r} needs {len(token)} case distributions, got {got}")
-            char_mat = concat([char_mat, Tensor(np.asarray(dists, dtype=np.float64))], axis=1)
-        elif self.case_mode == MODE_GOLD:
-            if len(cased_token) != len(token):
-                raise AlignmentError(
-                    f"cased form {cased_token!r} does not align with token {token!r}")
-            char_mat = concat([char_mat, Tensor(gold_case_vectors(cased_token))], axis=1)
+        rows = self._case_rows(token, cased_token, dists)
+        if rows is not None:
+            char_mat = concat([char_mat, Tensor(rows)], axis=1)
         x = concat([word_vec, self.cnn(char_mat)], axis=0)
         return dropout(x, self.cfg.dropout, rng, train)
+
+    def _token_dists(self, example: NerExample, dists_per_token: list | None,
+                     case_cache: dict | None = None) -> list:
+        """One case-distribution block (or None) per token of a non-empty sentence."""
+        if not example.tokens:
+            raise InputError("empty sentence")
+        if self.case_mode == MODE_PREDICTED and dists_per_token is None:
+            dists_per_token = case_distributions_for_tokens(self.truecaser, example.tokens,
+                                                            case_cache)
+        return dists_per_token if dists_per_token is not None else [None] * len(example.tokens)
 
     def emissions(self, example: NerExample, train: bool = False,
                   rng: np.random.Generator | None = None,
                   dists_per_token: list[np.ndarray] | None = None) -> Tensor:
-        if not example.tokens:
-            raise InputError("empty sentence")
-        if self.case_mode == MODE_PREDICTED and dists_per_token is None:
-            dists_per_token = case_distributions_for_tokens(self.truecaser, example.tokens)
-        source = example.source_tokens()
-        reps = []
-        for i, tok in enumerate(example.tokens):
-            dists = dists_per_token[i] if dists_per_token is not None else None
-            reps.append(self.token_repr(tok, source[i], dists, train, rng))
+        dists_per_token = self._token_dists(example, dists_per_token)
+        reps = [self.token_repr(tok, cased, dists, train, rng) for tok, cased, dists
+                in zip(example.tokens, example.source_tokens(), dists_per_token)]
         hidden = self.lstm(stack(reps, axis=0))
         hidden = dropout(hidden, self.cfg.dropout, rng, train)
         return self.emit(hidden)
+
+    def infer_emissions(self, example: NerExample, case_cache: dict | None = None) -> np.ndarray:
+        """emissions() in evaluation mode, on the tape-free path: the same
+        floats.  case_cache is passed to case_distributions_for_tokens."""
+        reps = []
+        for tok, cased, dists in zip(example.tokens, example.source_tokens(),
+                                     self._token_dists(example, None, case_cache)):
+            char_mat = self.char_emb.infer(self.char_vocab.encode(tok))
+            rows = self._case_rows(tok, cased, dists)
+            if rows is not None:
+                char_mat = np.concatenate([char_mat, rows], axis=1)
+            reps.append(np.concatenate([self.word_table.infer(tok), self.cnn.infer(char_mat)]))
+        return self.emit.infer(self.lstm.infer(np.stack(reps)))
 
     def tag_ids(self, tags: list[str]) -> np.ndarray:
         try:
@@ -265,34 +294,37 @@ class NerModel:
     @classmethod
     def load(cls, path: str) -> "NerModel":
         c = Container.load(path)
-        cfg = RunConfig(dropout=float(c.meta["dropout"]), case_mode=c.meta["case_mode"],
-                        **{name: int(c.meta[key]) for key, name in _META_DIMS})
-        words = c.sections["words"]
+        cfg = RunConfig(dropout=c.get_meta("dropout", float), case_mode=c.get_meta("case_mode"),
+                        **{name: c.get_meta(key, int) for key, name in _META_DIMS})
+        words = c.get_section("words")
         dim = cfg.word_emb_dim
-        trainable = c.meta["words_trainable"] == "1"
+        trainable = c.get_meta("words_trainable") == "1"
         table = EmbeddingTable(words, np.zeros((len(words), dim)), np.zeros(dim), trainable)
         truecaser = None
         if "tc.vocab" in c.sections:
             truecaser = Truecaser.from_container(c, prefix="tc")
-        model = cls(table, c.sections["tags"], CharVocab.from_lines(c.sections["char_vocab"]),
-                    cfg, truecaser=truecaser)
+        model = cls(table, c.get_section("tags"),
+                    CharVocab.from_lines(c.get_section("char_vocab")), cfg, truecaser=truecaser)
         restore_params(c, model.named_params())
         return model
 
 
-def predict_tags(model: NerModel, example: NerExample) -> list[str]:
-    with no_grad():
-        em = model.emissions(example)
-    return [model.tagset[i] for i in viterbi_decode(em.data, model.crf)]
+def predict_tags(model: NerModel, example: NerExample,
+                 case_cache: dict | None = None) -> list[str]:
+    """Viterbi tags; case_cache is passed to case_distributions_for_tokens."""
+    em = model.infer_emissions(example, case_cache)
+    return [model.tagset[i] for i in viterbi_decode(em, model.crf)]
 
 
-def predict(model: NerModel, example: NerExample) -> list[Span]:
-    return bio_decode(predict_tags(model, example))
+def predict(model: NerModel, example: NerExample,
+            case_cache: dict | None = None) -> list[Span]:
+    return bio_decode(predict_tags(model, example, case_cache))
 
 
-def evaluate_ner(model: NerModel, dataset: list[NerExample]):
+def evaluate_ner(model: NerModel, dataset: list[NerExample],
+                 case_cache: dict | None = None):
     gold = [bio_decode(ex.tags) for ex in dataset]
-    pred = [predict(model, ex) for ex in dataset]
+    pred = [predict(model, ex, case_cache) for ex in dataset]
     return span_f1(gold, pred)
 
 
@@ -329,6 +361,9 @@ def train_ner(dataset: list[NerExample], model: NerModel,
     if aux_active:
         trained += model.truecaser.named_params("tc")
     opt = Adam([p for _, p in trained], lr=cfg.lr)
+    # a frozen truecaser gives the same distributions for the same text, so
+    # one forward per distinct sentence serves every epoch and dev pass
+    case_cache = {} if cfg.case_mode == MODE_PREDICTED and not aux_active else None
 
     best_f1, best_state, bad_epochs = -1.0, None, 0
     for epoch in range(cfg.epochs):
@@ -339,8 +374,10 @@ def train_ner(dataset: list[NerExample], model: NerModel,
             gold_ids = model.tag_ids(ex.tags)
             aux = None
             dists = None
-            if model.case_mode == MODE_PREDICTED:
-                aux, dists = _truecaser_pass(model, ex, aux_active, rng)
+            if case_cache is not None:
+                dists = case_distributions_for_tokens(model.truecaser, ex.tokens, case_cache)
+            elif aux_active:
+                aux, dists = _truecaser_pass(model, ex, rng)
             loss = crf_nll(model.emissions(ex, train=True, rng=rng,
                                            dists_per_token=dists), gold_ids, model.crf)
             if aux is not None:
@@ -351,7 +388,7 @@ def train_ner(dataset: list[NerExample], model: NerModel,
             opt.step()
         entry = {"epoch": epoch + 1, "train_loss": total / len(dataset)}
         if dev:
-            score = evaluate_ner(model, dev)
+            score = evaluate_ner(model, dev, case_cache)
             entry["dev_f1"] = 100 * score.f1
             if cfg.patience > 0:
                 if score.f1 > best_f1:
@@ -373,9 +410,9 @@ def train_ner(dataset: list[NerExample], model: NerModel,
     return model
 
 
-def _truecaser_pass(model: NerModel, ex: NerExample, aux_active: bool,
-                    rng: np.random.Generator):
-    """One truecaser forward per sentence.
+def _truecaser_pass(model: NerModel, ex: NerExample, rng: np.random.Generator):
+    """The truecaser's training forward on one sentence, in the finetuned and
+    scratch regimes: the auxiliary loss and the tagger's case distributions.
 
     Predictions for the tagger always come from the lowercased sentence and
     are detached.  The auxiliary loss trains on the original casing, with the
@@ -384,10 +421,6 @@ def _truecaser_pass(model: NerModel, ex: NerExample, aux_active: bool,
     """
     tokens = ex.tokens
     lowered = " ".join(lowercase_keep_length(t)[0] for t in tokens)
-    if not aux_active:
-        with no_grad():
-            dist = model.truecaser.distributions(lowered)
-        return None, split_distributions(dist, tokens)
     source_text = " ".join(ex.source_tokens())
     tc_ex = make_training_example(source_text, model.cfg.pass_through_prob, rng)
     logits = model.truecaser.logits(tc_ex.chars, train=True, rng=rng)
@@ -395,6 +428,5 @@ def _truecaser_pass(model: NerModel, ex: NerExample, aux_active: bool,
     if tc_ex.chars == lowered:
         dist = softmax(logits.detach(), axis=-1).data
     else:
-        with no_grad():
-            dist = model.truecaser.distributions(lowered)
+        dist = model.truecaser.distributions(lowered)
     return aux, split_distributions(dist, tokens)

@@ -5,9 +5,12 @@ from casetag.nn.tensor import (
     concat,
     cross_entropy,
     log_softmax,
+    log_softmax_np,
     logsumexp,
     no_grad,
+    sigmoid_np,
     softmax,
+    softmax_np,
     stack,
     zeros,
 )
@@ -18,7 +21,8 @@ from casetag.nn.serialize import Container, restore_params, store_params
 
 __all__ = [
     "DTYPE", "Tensor", "as_tensor", "concat", "cross_entropy", "log_softmax",
-    "logsumexp", "no_grad", "softmax", "stack", "zeros",
+    "log_softmax_np", "logsumexp", "no_grad", "sigmoid_np", "softmax", "softmax_np",
+    "stack", "zeros",
     "BiLSTM", "CharCNN", "Embedding", "Linear", "LSTMCell", "dropout", "glorot", "prefixed",
     "Adam", "clip_global_norm", "GradCheckReport", "gradient_check",
     "Container", "restore_params", "store_params",

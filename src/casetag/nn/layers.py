@@ -3,6 +3,10 @@
 Initialization: uniform ±sqrt(6/(fan_in+fan_out)) for matrices, zeros for
 biases, forget-gate bias 1.0.  Every layer exposes named_params() with
 stable identifiers used by the serialization container.
+
+Each layer's infer() is its evaluation-mode forward on plain numpy arrays:
+it records no tape and builds no Tensor, and runs the same float operations
+in the same order as the Tensor forward, so the outputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from casetag.errors import ConfigError, InputError
-from casetag.nn.tensor import DTYPE, Tensor, concat, stack, zeros
+from casetag.nn.tensor import DTYPE, Tensor, concat, sigmoid_np, stack, zeros
 
 
 def glorot(shape: tuple[int, int], rng: np.random.Generator) -> Tensor:
@@ -27,12 +31,19 @@ class Linear:
         self.W = glorot((out_dim, in_dim), rng)
         self.b = zeros((out_dim,), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
+    def _check(self, shape: tuple) -> None:
+        if shape[-1] != self.in_dim:
             raise ConfigError(
                 f"linear layer expects inner dimension {self.in_dim}, "
-                f"got input shape {x.shape} against weight shape {self.W.shape}")
+                f"got input shape {shape} against weight shape {self.W.shape}")
+
+    def __call__(self, x: Tensor) -> Tensor:
+        self._check(x.shape)
         return x @ self.W.T + self.b
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        self._check(x.shape)
+        return x @ self.W.data.T + self.b.data
 
     def named_params(self):
         return [("W", self.W), ("b", self.b)]
@@ -46,6 +57,9 @@ class Embedding:
 
     def __call__(self, ids) -> Tensor:
         return self.table[np.asarray(ids, dtype=np.intp)]
+
+    def infer(self, ids) -> np.ndarray:
+        return self.table.data[np.asarray(ids, dtype=np.intp)]
 
     def named_params(self):
         return [("table", self.table)]
@@ -91,6 +105,24 @@ class LSTMCell:
             outs[t] = h
         return stack(outs, axis=0)
 
+    def infer(self, xs: np.ndarray, reverse: bool = False) -> np.ndarray:
+        """run() without the tape; sigmoid runs once over all 4H gate
+        pre-activations, of which the candidate block's is unused."""
+        H = self.hidden_dim
+        L = xs.shape[0]
+        pre = xs @ self.W_ih.data.T + self.b.data
+        W_hh = self.W_hh.data
+        h = np.zeros(H, dtype=DTYPE)
+        c = np.zeros(H, dtype=DTYPE)
+        out = np.empty((L, H), dtype=DTYPE)
+        for t in (range(L - 1, -1, -1) if reverse else range(L)):
+            gates = pre[t] + W_hh @ h
+            s = sigmoid_np(gates)
+            c = s[H:2 * H] * c + s[0:H] * np.tanh(gates[2 * H:3 * H])
+            h = s[3 * H:4 * H] * np.tanh(c)
+            out[t] = h
+        return out
+
     def named_params(self):
         return [("W_ih", self.W_ih), ("W_hh", self.W_hh), ("b", self.b)]
 
@@ -107,6 +139,11 @@ class BiLSTM:
         if xs.shape[0] == 0:
             raise InputError("BiLSTM over an empty sequence")
         return concat([self.fwd.run(xs), self.bwd.run(xs, reverse=True)], axis=1)
+
+    def infer(self, xs: np.ndarray) -> np.ndarray:
+        if xs.shape[0] == 0:
+            raise InputError("BiLSTM over an empty sequence")
+        return np.concatenate([self.fwd.infer(xs), self.bwd.infer(xs, reverse=True)], axis=1)
 
     def named_params(self):
         out = [("fwd." + n, p) for n, p in self.fwd.named_params()]
@@ -126,13 +163,16 @@ class CharCNN:
         self.W = glorot((filters, width * in_dim), rng)
         self.b = zeros((filters,), requires_grad=True)
 
-    def __call__(self, chars: Tensor) -> Tensor:
-        n = chars.shape[0]
-        if n == 0:
+    def _check(self, shape: tuple) -> None:
+        if shape[0] == 0:
             raise InputError("char CNN over an empty character sequence")
-        if chars.shape[1] != self.in_dim:
+        if shape[1] != self.in_dim:
             raise ConfigError(
-                f"char CNN expects vectors of dim {self.in_dim}, got {chars.shape[1]}")
+                f"char CNN expects vectors of dim {self.in_dim}, got {shape[1]}")
+
+    def __call__(self, chars: Tensor) -> Tensor:
+        self._check(chars.shape)
+        n = chars.shape[0]
         left = (self.width - 1) // 2
         right = self.width - 1 - left
         parts = []
@@ -145,6 +185,14 @@ class CharCNN:
         windows = concat([padded[i:i + n] for i in range(self.width)], axis=1)  # (n, w*in_dim)
         acts = (windows @ self.W.T + self.b).tanh()  # (n, filters)
         return acts.max(axis=0)
+
+    def infer(self, chars: np.ndarray) -> np.ndarray:
+        self._check(chars.shape)
+        n = chars.shape[0]
+        left = (self.width - 1) // 2
+        padded = np.pad(chars, ((left, self.width - 1 - left), (0, 0)))
+        windows = np.concatenate([padded[i:i + n] for i in range(self.width)], axis=1)
+        return np.tanh(windows @ self.W.data.T + self.b.data).max(axis=0)
 
     def named_params(self):
         return [("W", self.W), ("b", self.b)]

@@ -26,9 +26,26 @@ class Container:
         self.meta: dict[str, str] = {}
         self.sections: dict[str, list[str]] = {}
         self.arrays: dict[str, np.ndarray] = {}
+        self.path = "<container>"  # the file it was loaded from, for messages
 
     def add_array(self, name: str, values: np.ndarray) -> None:
         self.arrays[name] = np.asarray(values, dtype="<f4")
+
+    def get_meta(self, key: str, kind=str):
+        """The meta value under key, converted by kind; ParseError naming the
+        file and the key when it is missing or does not convert."""
+        if key not in self.meta:
+            raise ParseError(f"{self.path}: container has no meta key {key!r}")
+        try:
+            return kind(self.meta[key])
+        except ValueError:
+            raise ParseError(
+                f"{self.path}: meta key {key!r} has a bad value {self.meta[key]!r}") from None
+
+    def get_section(self, name: str) -> list[str]:
+        if name not in self.sections:
+            raise ParseError(f"{self.path}: container has no section {name!r}")
+        return self.sections[name]
 
     def save(self, path: str) -> None:
         header = io.StringIO()
@@ -51,16 +68,33 @@ class Container:
     @classmethod
     def load(cls, path: str) -> "Container":
         out = cls()
+        out.path = path
         with open(path, "rb") as fh:
-            first = fh.readline().decode("utf-8").rstrip("\n")
+            first = fh.readline().decode("utf-8", errors="replace").rstrip("\n")
             if first != MAGIC:
                 raise ParseError(f"{path}: not a casetag container (got {first!r})")
+            lineno = 1
+
+            def next_line(at_eof: str) -> str:
+                nonlocal lineno
+                raw = fh.readline()
+                lineno += 1
+                if not raw:
+                    raise ParseError(f"{path} line {lineno}: {at_eof}")
+                try:
+                    return raw.decode("utf-8").rstrip("\n")
+                except UnicodeDecodeError:
+                    raise ParseError(f"{path} line {lineno}: header line is not UTF-8 text") from None
+
+            def count(text: str, what: str) -> int:
+                if not (text.isascii() and text.isdigit()):
+                    raise ParseError(
+                        f"{path} line {lineno}: {what} {text!r} is not a non-negative integer")
+                return int(text)
+
             shapes: list[tuple[str, tuple[int, ...]]] = []
             while True:
-                raw = fh.readline()
-                if not raw:
-                    raise ParseError(f"{path}: header ended without a binary marker")
-                line = raw.decode("utf-8").rstrip("\n")
+                line = next_line("header ended without a binary marker")
                 if line == "binary":
                     break
                 kind, _, rest = line.partition(" ")
@@ -68,22 +102,22 @@ class Container:
                     key, _, value = rest.partition(" ")
                     out.meta[key] = value
                 elif kind == "section":
-                    name, _, count = rest.partition(" ")
-                    body = []
-                    for _ in range(int(count)):
-                        body.append(fh.readline().decode("utf-8").rstrip("\n"))
-                    out.sections[name] = body
+                    name, _, n = rest.partition(" ")
+                    n = count(n, f"section {name} line count")
+                    at_eof = (f"file ends inside section {name}, which line {lineno} "
+                              f"declares {n} lines long")
+                    out.sections[name] = [next_line(at_eof) for _ in range(n)]
                 elif kind == "param":
                     name, _, dims = rest.partition(" ")
-                    shape = tuple(int(d) for d in dims.split(",")) if dims else ()
+                    shape = tuple(count(d, f"param {name} dimension")
+                                  for d in dims.split(",")) if dims else ()
                     shapes.append((name, shape))
                 else:
-                    raise ParseError(f"{path}: unknown header line {line!r}")
+                    raise ParseError(f"{path} line {lineno}: unknown header line {line!r}")
             blob = fh.read()
         offset = 0
         for name, shape in shapes:
-            count = int(np.prod(shape)) if shape else 1
-            nbytes = count * 4
+            nbytes = (int(np.prod(shape)) if shape else 1) * 4
             if offset + nbytes > len(blob):
                 raise ParseError(f"{path}: binary payload truncated at array {name}")
             arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f4").reshape(shape)

@@ -178,10 +178,13 @@ class Tensor:
     def __getitem__(self, idx):
         out = _result(self.data[idx], (self,))
         if out.requires_grad:
-            def bw(g, a=self, idx=idx):
+            def bw(g, a=self, idx=idx, basic=_is_basic_index(idx)):
                 if a.grad is None:
                     a.grad = np.zeros_like(a.data)
-                np.add.at(a.grad, idx, g)
+                if basic:
+                    a.grad[idx] += g
+                else:
+                    np.add.at(a.grad, idx, g)  # fancy indices may repeat a row
             out._backward = bw
         return out
 
@@ -264,15 +267,20 @@ class Tensor:
         return out
 
     def sigmoid(self):
-        x = self.data
-        s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        s = sigmoid_np(self.data)
         out = _result(s, (self,))
         if out.requires_grad:
             def bw(g, a=self, s=s):
                 a._accumulate(g * s * (1.0 - s))
             out._backward = bw
         return out
+
+
+def _is_basic_index(idx) -> bool:
+    """True for an int, a slice, or a tuple of those: indices that select
+    each element at most once."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(p, (int, slice)) and not isinstance(p, bool) for p in parts)
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
@@ -360,15 +368,39 @@ def logsumexp(t: Tensor, axis: int | None = None) -> Tensor:
     return out
 
 
+# -- numpy forms ------------------------------------------------------------
+# The tape-free inference path calls these directly; Tensor.sigmoid, softmax
+# and log_softmax call them too, so both paths compute the same floats.
+
+
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp of -|x| only."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Stable softmax along `axis`; rejects non-finite logits."""
+    if not np.all(np.isfinite(x)):
+        raise NumericError("softmax received non-finite logits")
+    if x.size == 0:
+        raise InputError("softmax over an empty tensor")
+    m = np.max(x, axis=axis, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    if not np.all(np.isfinite(x)):
+        raise NumericError("log_softmax received non-finite logits")
+    m = np.max(x, axis=axis, keepdims=True)
+    shifted = x - m
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along `axis`; rejects non-finite logits."""
-    if not np.all(np.isfinite(t.data)):
-        raise NumericError("softmax received non-finite logits")
-    if t.data.size == 0:
-        raise InputError("softmax over an empty tensor")
-    m = np.max(t.data, axis=axis, keepdims=True)
-    e = np.exp(t.data - m)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = softmax_np(t.data, axis)
     out = _result(s, (t,))
     if out.requires_grad:
         def bw(g, a=t, s=s, axis=axis):
@@ -379,12 +411,7 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    if not np.all(np.isfinite(t.data)):
-        raise NumericError("log_softmax received non-finite logits")
-    m = np.max(t.data, axis=axis, keepdims=True)
-    shifted = t.data - m
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out_data = shifted - lse
+    out_data = log_softmax_np(t.data, axis)
     out = _result(out_data, (t,))
     if out.requires_grad:
         soft = np.exp(out_data)

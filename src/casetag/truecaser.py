@@ -26,10 +26,10 @@ from casetag.nn import (
     clip_global_norm,
     cross_entropy,
     dropout,
-    no_grad,
+    log_softmax_np,
     prefixed,
     restore_params,
-    softmax,
+    softmax_np,
     store_params,
 )
 
@@ -158,10 +158,15 @@ class Truecaser:
         hidden = dropout(hidden, self.dropout_rate, rng, train)
         return self.out(hidden)
 
+    def infer_logits(self, text: str) -> np.ndarray:
+        """logits() in evaluation mode, on the tape-free path: the same floats."""
+        if not text:
+            raise InputError("truecaser forward over an empty string")
+        return self.out.infer(self.rnn.infer(self.emb.infer(self.vocab.encode(text))))
+
     def distributions(self, text: str) -> np.ndarray:
         """(n, 2) rows (p_upper, p_lower); no gradients, evaluation mode."""
-        with no_grad():
-            return softmax(self.logits(text), axis=-1).data
+        return softmax_np(self.infer_logits(text), axis=-1)
 
     # -- persistence -------------------------------------------------------
 
@@ -176,11 +181,11 @@ class Truecaser:
 
     @classmethod
     def from_container(cls, c: Container, prefix: str = "tc") -> "Truecaser":
-        vocab = CharVocab.from_lines(c.sections[f"{prefix}.vocab"])
+        vocab = CharVocab.from_lines(c.get_section(f"{prefix}.vocab"))
         model = cls(vocab,
-                    char_emb_dim=int(c.meta[f"{prefix}.char_emb_dim"]),
-                    hidden_dim=int(c.meta[f"{prefix}.hidden_dim"]),
-                    dropout_rate=float(c.meta[f"{prefix}.dropout"]))
+                    char_emb_dim=c.get_meta(f"{prefix}.char_emb_dim", int),
+                    hidden_dim=c.get_meta(f"{prefix}.hidden_dim", int),
+                    dropout_rate=c.get_meta(f"{prefix}.dropout", float))
         restore_params(c, model.named_params(prefix))
         return model
 
@@ -254,14 +259,16 @@ def held_out_loss(model: Truecaser, sentences: list[str]) -> float:
     if not sentences:
         return 0.0
     total, count = 0.0, 0
-    with no_grad():
-        for sent in sentences:
-            if not sent:
-                continue
-            lowered, _ = lowercase_keep_length(sent)
-            loss = cross_entropy(model.logits(lowered), case_labels(sent))
-            total += loss.item() * len(sent)
-            count += len(sent)
+    for sent in sentences:
+        if not sent:
+            continue
+        lowered, _ = lowercase_keep_length(sent)
+        # cross_entropy's value, op for op, without the tape
+        picked = log_softmax_np(model.infer_logits(lowered))[np.arange(len(sent)),
+                                                             case_labels(sent)]
+        loss = -(picked.sum() * (1.0 / len(sent)))
+        total += float(loss) * len(sent)
+        count += len(sent)
     return total / max(count, 1)
 
 
@@ -293,13 +300,23 @@ def split_distributions(dist: np.ndarray, tokens: list[str]) -> list[np.ndarray]
     return out
 
 
-def case_distributions_for_tokens(model: Truecaser, tokens: list[str]) -> list[np.ndarray]:
+def case_distributions_for_tokens(model: Truecaser, tokens: list[str],
+                                  cache: dict | None = None) -> list[np.ndarray]:
     """Run the truecaser over the space-joined, lowercased token sequence and
-    return one (len(token), 2) distribution block per token."""
+    return one (len(token), 2) distribution block per token.
+
+    cache, when given, maps the joined text to the truecaser's output and is
+    filled as it goes; it stays valid only while the truecaser is frozen."""
     if not tokens:
         return []
-    lowered = [lowercase_keep_length(tok)[0] for tok in tokens]
-    return split_distributions(model.distributions(" ".join(lowered)), tokens)
+    text = " ".join(lowercase_keep_length(tok)[0] for tok in tokens)
+    if cache is None:
+        dist = model.distributions(text)
+    else:
+        dist = cache.get(text)
+        if dist is None:
+            dist = cache[text] = model.distributions(text)
+    return split_distributions(dist, tokens)
 
 
 def eval_truecaser(model: Truecaser, cased_sentences: list[str]) -> PrfScore:

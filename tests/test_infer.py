@@ -1,0 +1,225 @@
+"""The tape-free inference path against the tape, bit for bit, and the
+frozen-truecaser cache of train_ner."""
+
+import numpy as np
+import pytest
+
+import casetag.ner as ner_module
+from casetag.config import RunConfig
+from casetag.ner import (
+    MODE_GOLD,
+    MODE_NONE,
+    MODE_PREDICTED,
+    REGIME_FINETUNED,
+    REGIME_FIXED,
+    EmbeddingTable,
+    NerModel,
+    build_char_vocab,
+    build_tagset,
+    build_word_list,
+    lowercase_dataset,
+    train_ner,
+)
+from casetag.nn import (
+    BiLSTM,
+    CharCNN,
+    Linear,
+    LSTMCell,
+    Tensor,
+    cross_entropy,
+    no_grad,
+    sigmoid_np,
+    softmax,
+)
+from casetag.synthetic import ner_dataset
+from casetag.truecaser import CharVocab, Truecaser, held_out_loss, lowercase_keep_length
+
+DIMS = [(16, 24), (50, 100)]  # (char embedding, hidden): desk and paper sizes
+
+
+def jitter(named_params, seed):
+    """Move every parameter, biases included, off its initial value."""
+    rng = np.random.default_rng(seed)
+    for _, p in named_params:
+        p.data += rng.normal(0.0, 0.3, size=p.data.shape)
+
+
+def sentences():
+    train, test = ner_dataset(6, 4, seed=3)
+    return train + test
+
+
+def truecaser(emb, hidden, seed=0):
+    texts = [" ".join(ex.tokens) for ex in sentences()]
+    tc = Truecaser(CharVocab.build(texts), char_emb_dim=emb, hidden_dim=hidden,
+                   dropout_rate=0.25, seed=seed)
+    jitter(tc.named_params(), seed + 1)
+    return tc
+
+
+# -- layers ------------------------------------------------------------------------
+
+def test_layer_infer_matches_tape_bit_for_bit():
+    rng = np.random.default_rng(0)
+    xs = rng.normal(size=(9, 7))
+    lin = Linear(7, 5, rng)
+    cell = LSTMCell(7, 6, rng)
+    bi = BiLSTM(7, 6, rng)
+    jitter(lin.named_params() + cell.named_params() + bi.named_params(), 1)
+    with no_grad():
+        assert np.array_equal(lin.infer(xs), lin(Tensor(xs)).data)
+        for reverse in (False, True):
+            assert np.array_equal(cell.infer(xs, reverse), cell.run(Tensor(xs), reverse).data)
+        assert np.array_equal(bi.infer(xs), bi(Tensor(xs)).data)
+        for width in (1, 2, 3, 4):
+            cnn = CharCNN(7, 5, width, rng)
+            jitter(cnn.named_params(), width)
+            for n in (1, 2, 9):
+                assert np.array_equal(cnn.infer(xs[:n]), cnn(Tensor(xs[:n])).data)
+
+
+def old_sigmoid(x):
+    """Tensor.sigmoid's expression before it computed exp(-|x|) once."""
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+
+def test_sigmoid_np_matches_the_three_exp_expression():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 36.0, -36.0, 745.0, -745.0])
+    rng = np.random.default_rng(7)
+    for x in [special, rng.normal(0, 1, 1000), rng.normal(0, 30, 1000)]:
+        assert np.array_equal(sigmoid_np(x), old_sigmoid(x))
+        assert np.array_equal(Tensor(x).sigmoid().data, old_sigmoid(x))
+    # one call over the 4H gate vector equals one call per gate block
+    gates = rng.normal(0, 5, 4 * 24)
+    fused = sigmoid_np(gates)
+    for k in range(4):
+        assert np.array_equal(fused[24 * k:24 * (k + 1)], old_sigmoid(gates[24 * k:24 * (k + 1)]))
+
+
+def test_getitem_basic_index_grads_match_add_at():
+    rng = np.random.default_rng(2)
+    data = rng.normal(size=(5, 4))
+    for idx in [2, slice(1, 4), (1, 3), (slice(0, 2), 3), (slice(None), slice(1, 3))]:
+        t = Tensor(data, requires_grad=True)
+        g = rng.normal(size=data[idx].shape)
+        (t[idx] * Tensor(g)).sum().backward()
+        expected = np.zeros_like(data)
+        np.add.at(expected, idx, g)
+        assert np.array_equal(t.grad, expected), idx
+    # a fancy index that repeats a row keeps accumulating
+    t = Tensor(data, requires_grad=True)
+    t[np.array([1, 1, 3])].sum().backward()
+    assert np.array_equal(t.grad[1], np.full(4, 2.0))
+
+
+# -- truecaser ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("emb,hidden", DIMS)
+def test_distributions_match_tape_bit_for_bit(emb, hidden):
+    tc = truecaser(emb, hidden)
+    for ex in sentences():
+        text = lowercase_keep_length(" ".join(ex.tokens))[0]
+        with no_grad():
+            tape = softmax(tc.logits(text), axis=-1).data
+        assert np.array_equal(tc.distributions(text), tape)
+        assert np.array_equal(tc.infer_logits(text), tc.logits(text).data)
+
+
+def test_held_out_loss_matches_tape_bit_for_bit():
+    tc = truecaser(16, 24)
+    texts = [" ".join(ex.tokens) for ex in sentences()]
+    total, count = 0.0, 0
+    for sent in texts:
+        labels = np.array([0 if ch.isupper() else 1 for ch in sent])
+        loss = cross_entropy(tc.logits(lowercase_keep_length(sent)[0]), labels)
+        total += loss.item() * len(sent)
+        count += len(sent)
+    assert held_out_loss(tc, texts + [""]) == total / count
+
+
+# -- tagger --------------------------------------------------------------------------------
+
+def tagger(mode, emb, hidden, seed=0):
+    data = sentences()
+    cfg = RunConfig(case_mode=mode, seed=seed, word_emb_dim=emb, ner_char_emb_dim=emb,
+                    cnn_filters=emb, cnn_width=3, ner_hidden_dim=hidden)
+    rng = np.random.default_rng(seed)
+    table = EmbeddingTable.random(build_word_list(data), cfg.word_emb_dim, rng)
+    tc = truecaser(emb, hidden, seed + 2) if mode == MODE_PREDICTED else None
+    model = NerModel(table, build_tagset(data), build_char_vocab(data), cfg,
+                     truecaser=tc, seed=seed)
+    jitter(model.named_params(), seed + 3)
+    return model
+
+
+@pytest.mark.parametrize("emb,hidden", DIMS)
+@pytest.mark.parametrize("mode", [MODE_NONE, MODE_PREDICTED, MODE_GOLD])
+def test_emissions_match_tape_bit_for_bit(mode, emb, hidden):
+    model = tagger(mode, emb, hidden)
+    data = sentences()
+    # unknown words (the fallback vector) and lowercased text with its source
+    data += lowercase_dataset(data[:3])
+    data[0].tokens[0] = "zzyzx"
+    for ex in data:
+        with no_grad():
+            tape = model.emissions(ex).data
+        assert np.array_equal(model.infer_emissions(ex), tape)
+
+
+# -- the frozen-truecaser cache --------------------------------------------------------------
+
+def count_distributions(monkeypatch):
+    seen = []
+    original = Truecaser.distributions
+
+    def counting(self, text):
+        seen.append(text)
+        return original(self, text)
+
+    monkeypatch.setattr(Truecaser, "distributions", counting)
+    return seen
+
+
+def cache_setup(regime):
+    data = sentences()
+    train, dev = data[:6], data[5:8]  # one dev sentence is also a train sentence
+    model = tagger(MODE_PREDICTED, 8, 6, seed=4)
+    for key, value in dict(epochs=2, patience=0, regime=regime, lr=0.01,
+                           pass_through_prob=0.0).items():
+        setattr(model.cfg, key, value)
+    return model, train, dev
+
+
+def lowered_text(ex):
+    return " ".join(lowercase_keep_length(tok)[0] for tok in ex.tokens)
+
+
+def test_fixed_regime_runs_the_truecaser_once_per_distinct_sentence(monkeypatch):
+    model, train, dev = cache_setup(REGIME_FIXED)
+    seen = count_distributions(monkeypatch)
+    train_ner(train, model, dev=dev)
+    distinct = {lowered_text(ex) for ex in train + dev}
+    assert len(distinct) == len(train) + len(dev) - 1
+    assert sorted(seen) == sorted(distinct)
+
+
+def test_fixed_regime_cache_leaves_the_trained_model_unchanged(monkeypatch):
+    cached, train, dev = cache_setup(REGIME_FIXED)
+    train_ner(train, cached, dev=dev)
+    original = ner_module.case_distributions_for_tokens
+    monkeypatch.setattr(ner_module, "case_distributions_for_tokens",
+                        lambda model, tokens, cache=None: original(model, tokens))
+    uncached, _, _ = cache_setup(REGIME_FIXED)
+    train_ner(train, uncached, dev=dev)
+    for (name, p), (_, q) in zip(cached.named_params(), uncached.named_params()):
+        assert np.array_equal(p.data, q.data), name
+
+
+def test_finetuned_regime_bypasses_the_cache(monkeypatch):
+    model, train, dev = cache_setup(REGIME_FINETUNED)
+    seen = count_distributions(monkeypatch)
+    train_ner(train, model, dev=dev)
+    # without pass-through the training forward supplies the distributions,
+    # so only the dev passes call distributions, once per sentence per epoch
+    assert sorted(seen) == sorted(lowered_text(ex) for ex in dev for _ in range(2))

@@ -1,0 +1,125 @@
+"""Malformed outside inputs end the CLI with exit 1 and one typed error
+line naming the file and the line (or the missing key)."""
+
+import numpy as np
+import pytest
+
+from casetag.cli import main
+from casetag.config import RunConfig
+from casetag.data import write_conll
+from casetag.ner import EmbeddingTable, NerExample, NerModel, build_char_vocab, build_tagset
+from casetag.truecaser import CharVocab, Truecaser
+
+DATA = [NerExample("Alan visited Boston .".split(), ["B-PER", "O", "B-LOC", "O"]),
+        NerExample("the cup was heavy .".split(), ["O"] * 5)]
+
+
+def one_line_error(capsys, argv, *needles):
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("casetag: error: "), lines[0]
+    for needle in needles:
+        assert needle in lines[0], (needle, lines[0])
+    return lines[0]
+
+
+@pytest.fixture
+def files(tmp_path):
+    """A truecaser file, a tagger file, a CoNLL file and a text file."""
+    tc = Truecaser(CharVocab(list("abc ")), char_emb_dim=3, hidden_dim=2, seed=0)
+    tc_path = tmp_path / "tc.ctr"
+    tc.save(str(tc_path))
+    cfg = RunConfig(word_emb_dim=4, ner_char_emb_dim=3, cnn_filters=3, ner_hidden_dim=2)
+    table = EmbeddingTable.random(["alan"], 4, np.random.default_rng(0))
+    ner_path = tmp_path / "ner.ctr"
+    NerModel(table, build_tagset(DATA), build_char_vocab(DATA), cfg).save(str(ner_path))
+    conll = tmp_path / "data.conll"
+    write_conll(DATA, str(conll))
+    text = tmp_path / "text.txt"
+    text.write_text("alan ran\n", encoding="utf-8")
+    return {"tc": tc_path, "ner": ner_path, "conll": conll, "text": text}
+
+
+def header_replace(path, old: bytes, new: bytes):
+    data = path.read_bytes()
+    assert old in data
+    path.write_bytes(data.replace(old, new, 1))
+
+
+def header_line_of(path, prefix: bytes) -> int:
+    lines = path.read_bytes().split(b"\n")
+    return next(i for i, line in enumerate(lines, start=1) if line.startswith(prefix))
+
+
+# -- model containers ------------------------------------------------------------------
+
+def test_container_non_integer_section_count(files, capsys):
+    path = files["tc"]
+    line = header_line_of(path, b"section tc.vocab ")
+    header_replace(path, b"section tc.vocab 4\n", b"section tc.vocab four\n")
+    one_line_error(capsys, ["truecase", "--model", str(path), "--input", str(files["text"])],
+                   str(path), f"line {line}", "'four'")
+
+
+def test_container_non_integer_param_dimension(files, capsys):
+    path = files["ner"]
+    line = header_line_of(path, b"param ner.crf.trans ")
+    header_replace(path, b"param ner.crf.trans 3,3\n", b"param ner.crf.trans 3,x\n")
+    one_line_error(capsys, ["eval-ner", "--model", str(path), "--test", str(files["conll"])],
+                   str(path), f"line {line}", "'x'")
+
+
+def test_container_non_utf8_header_byte(files, capsys):
+    path = files["tc"]
+    header_replace(path, b"casetag-container 1\n", b"casetag-container 1\nmeta note \xff\xfe\n")
+    one_line_error(capsys, ["truecase", "--model", str(path), "--input", str(files["text"])],
+                   str(path), "line 2", "UTF-8")
+
+
+def test_container_section_past_end_of_file(tmp_path, files, capsys):
+    path = tmp_path / "short.ctr"
+    path.write_bytes(b"casetag-container 1\nmeta kind ner\nsection words 5\nalan\nboston\n")
+    one_line_error(capsys, ["tag", "--model", str(path), "--input", str(files["conll"]),
+                            "--output", str(tmp_path / "out.conll")],
+                   str(path), "line 6", "section words", "line 3")
+
+
+@pytest.mark.parametrize("model,key", [("ner", "dropout"), ("tc", "tc.hidden_dim")])
+def test_container_missing_meta_key(files, capsys, model, key):
+    path = files[model]
+    data = path.read_bytes()
+    start = data.index(f"meta {key} ".encode())
+    path.write_bytes(data[:start] + data[data.index(b"\n", start) + 1:])
+    if model == "ner":
+        argv = ["eval-ner", "--model", str(path), "--test", str(files["conll"])]
+    else:
+        argv = ["truecase", "--model", str(path), "--input", str(files["text"])]
+    one_line_error(capsys, argv, str(path), repr(key))
+
+
+# -- text inputs ----------------------------------------------------------------------------
+
+def test_corpus_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(b"Alan ran .\nthe cup \xe9tait\n")
+    one_line_error(capsys, ["prep-stats", "--input", str(path),
+                            "--output", str(tmp_path / "stats.tsv")],
+                   str(path), "line 2", "UTF-8")
+
+
+def test_conll_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.conll"
+    path.write_bytes(b"Alan B-PER\nran O\n\n\xc3 O\n")
+    one_line_error(capsys, ["augment", "--input", str(path),
+                            "--output", str(tmp_path / "out.conll")],
+                   str(path), "line 4", "UTF-8")
+
+
+def test_embedding_file_not_utf8(tmp_path, files, capsys):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(b"alan 1 2 3 4\nbost\xf6n 5 6 7 8\n")
+    one_line_error(capsys, ["train-ner", "--train", str(files["conll"]), "--embeddings",
+                            str(path), "--word-emb-dim", "4", "--epochs", "1",
+                            "--output", str(tmp_path / "ner.ctr")],
+                   str(path), "line 2", "UTF-8")
