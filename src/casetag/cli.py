@@ -22,8 +22,8 @@ from casetag.corpus import (
     PrepReport,
     prepare_corpus,
 )
-from casetag.data import read_conll, read_embeddings, text_lines, write_conll
-from casetag.errors import CasetagError, ConfigError
+from casetag.data import read_conll, read_embeddings, write_conll
+from casetag.errors import CasetagError, ConfigError, text_lines
 from casetag.metrics import PrfScore, bio_decode, char_f1, span_f1
 from casetag.ner import (
     EmbeddingTable,

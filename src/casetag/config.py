@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from casetag.errors import ConfigError, ParseError
+from casetag.errors import ConfigError, ParseError, text_lines
 
 ENV_CONFIG = "CASETAG_CONFIG"
 
@@ -113,12 +113,11 @@ class RunConfig:
     @classmethod
     def from_file(cls, path: str, base: "RunConfig | None" = None) -> "RunConfig":
         cfg = base if base is not None else cls()
-        with open(path, encoding="utf-8") as fh:
-            for i, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                cfg.apply_line(line, where=f"{path} line {i}")
+        for i, raw in enumerate(text_lines(path), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            cfg.apply_line(line, where=f"{path} line {i}")
         return cfg
 
     def validate(self) -> None:

@@ -13,7 +13,7 @@ import importlib.resources
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from casetag.errors import ConfigError, InputError, ParseError
+from casetag.errors import ConfigError, InputError, ParseError, text_lines
 
 DEFAULT_CAPS_THRESHOLD = 0.20
 
@@ -52,11 +52,8 @@ class CasingStats:
     @classmethod
     def collect(cls, lines: Iterable[str]) -> "CasingStats":
         stats = cls()
-        for i, line in enumerate(lines, start=1):
-            try:
-                tokens = line.split()
-            except Exception as exc:  # pragma: no cover - line objects are strings
-                raise ParseError(f"line {i}: {exc}") from exc
+        for line in lines:
+            tokens = line.split()
             if tokens:
                 stats.add_sentence(tokens)
         return stats
@@ -80,25 +77,29 @@ class CasingStats:
     @classmethod
     def load(cls, path: str) -> "CasingStats":
         stats = cls()
-        with open(path, encoding="utf-8") as fh:
-            for i, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                if i == 1 and line.startswith("#total_tokens\t"):
-                    stats.total_tokens = int(line.split("\t")[1])
-                    continue
-                key, _, rest = line.partition("\t")
-                if not rest:
-                    raise ParseError(f"{path} line {i}: expected 'key<TAB>surface:count ...'")
-                by_surface = {}
-                for pair in rest.split(" "):
-                    surface, _, count = pair.rpartition(":")
-                    if not surface:
-                        raise ParseError(f"{path} line {i}: malformed pair {pair!r}")
-                    by_surface[surface] = int(count)
-                stats.counts[key] = by_surface
+        for i, line in enumerate(text_lines(path), start=1):
+            if not line:
+                continue
+            if i == 1 and line.startswith("#total_tokens\t"):
+                stats.total_tokens = _count(line.split("\t")[1], path, i)
+                continue
+            key, _, rest = line.partition("\t")
+            if not rest:
+                raise ParseError(f"{path} line {i}: expected 'key<TAB>surface:count ...'")
+            by_surface = {}
+            for pair in rest.split(" "):
+                surface, _, count = pair.rpartition(":")
+                if not surface:
+                    raise ParseError(f"{path} line {i}: malformed pair {pair!r}")
+                by_surface[surface] = _count(count, path, i)
+            stats.counts[key] = by_surface
         return stats
+
+
+def _count(text: str, path: str, line: int) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ParseError(f"{path} line {line}: count {text!r} is not a non-negative integer")
+    return int(text)
 
 
 class LowercaseRules:
@@ -133,8 +134,7 @@ class LowercaseRules:
 
     @classmethod
     def load(cls, path: str) -> "LowercaseRules":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_lines(fh)
+        return cls.from_lines(text_lines(path))
 
     @classmethod
     def default(cls) -> "LowercaseRules":

@@ -5,26 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from casetag.errors import ParseError
+from casetag.errors import ParseError, text_lines
 from casetag.ner import EmbeddingTable, NerExample
-
-
-def text_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 text file, newlines stripped.  Bytes that are
-    not UTF-8 raise ParseError naming the file and the line."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return [raw.rstrip("\n") for raw in fh]
-    except UnicodeDecodeError as exc:
-        # the decoder works in blocks, so find the line again in bytes
-        i = 0
-        with open(path, "rb") as fh:
-            for i, raw in enumerate(fh, start=1):
-                try:
-                    raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    break
-        raise ParseError(f"{path} line {i}: not UTF-8 text ({exc.reason})") from None
 
 
 def read_conll(path: str) -> list[NerExample]:

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the text-file reader that
+raises the typed error for bytes that are not UTF-8."""
 
 
 class CasetagError(Exception):
@@ -23,3 +24,21 @@ class NumericError(CasetagError):
 
 class ParseError(CasetagError):
     """Malformed file content; message carries the line number."""
+
+
+def text_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file, newlines stripped.  Bytes that are
+    not UTF-8 raise ParseError naming the file and the line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [raw.rstrip("\n") for raw in fh]
+    except UnicodeDecodeError as exc:
+        # the decoder works in blocks, so find the line again in bytes
+        i = 0
+        with open(path, "rb") as fh:
+            for i, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise ParseError(f"{path} line {i}: not UTF-8 text ({exc.reason})") from None

@@ -8,11 +8,20 @@ Case vector modes:
                actual mistakes
     gold       one-hot casing of the original text, the ceiling condition
 
+In predicted mode the case vectors always come from the truecaser's
+evaluation pass over the lowercased sentence (case_distributions_for_tokens),
+in every regime and at training and test time alike.
+
 Truecaser regimes (predicted mode only):
     fixed      pretrained truecaser, parameters frozen
     finetuned  pretrained truecaser, updated through an auxiliary casing loss
     scratch    randomly initialized truecaser, trained jointly via the same
                auxiliary loss
+
+The auxiliary loss is the truecaser's own training step
+(Truecaser.training_loss) on the sentence's original casing, so the finetuned
+and scratch regimes run the truecaser twice per training sentence: once in
+training mode for that loss and once in evaluation mode for the case vectors.
 """
 
 from __future__ import annotations
@@ -45,11 +54,9 @@ from casetag.nn import (
     Tensor,
     clip_global_norm,
     concat,
-    cross_entropy,
     dropout,
     prefixed,
     restore_params,
-    softmax,
     stack,
     store_params,
 )
@@ -60,8 +67,6 @@ from casetag.truecaser import (
     UPPER,
     case_distributions_for_tokens,
     lowercase_keep_length,
-    make_training_example,
-    split_distributions,
 )
 
 @dataclass
@@ -231,32 +236,31 @@ class NerModel:
         x = concat([word_vec, self.cnn(char_mat)], axis=0)
         return dropout(x, self.cfg.dropout, rng, train)
 
-    def _token_dists(self, example: NerExample, dists_per_token: list | None,
-                     case_cache: dict | None = None) -> list:
-        """One case-distribution block (or None) per token of a non-empty sentence."""
+    def _token_dists(self, example: NerExample, case_cache: dict | None) -> list:
+        """One case-distribution block (or None) per token of a non-empty
+        sentence; case_cache is passed to case_distributions_for_tokens."""
         if not example.tokens:
             raise InputError("empty sentence")
-        if self.case_mode == MODE_PREDICTED and dists_per_token is None:
-            dists_per_token = case_distributions_for_tokens(self.truecaser, example.tokens,
-                                                            case_cache)
-        return dists_per_token if dists_per_token is not None else [None] * len(example.tokens)
+        if self.case_mode == MODE_PREDICTED:
+            return case_distributions_for_tokens(self.truecaser, example.tokens, case_cache)
+        return [None] * len(example.tokens)
 
     def emissions(self, example: NerExample, train: bool = False,
                   rng: np.random.Generator | None = None,
-                  dists_per_token: list[np.ndarray] | None = None) -> Tensor:
-        dists_per_token = self._token_dists(example, dists_per_token)
+                  case_cache: dict | None = None) -> Tensor:
         reps = [self.token_repr(tok, cased, dists, train, rng) for tok, cased, dists
-                in zip(example.tokens, example.source_tokens(), dists_per_token)]
+                in zip(example.tokens, example.source_tokens(),
+                       self._token_dists(example, case_cache))]
         hidden = self.lstm(stack(reps, axis=0))
         hidden = dropout(hidden, self.cfg.dropout, rng, train)
         return self.emit(hidden)
 
     def infer_emissions(self, example: NerExample, case_cache: dict | None = None) -> np.ndarray:
         """emissions() in evaluation mode, on the tape-free path: the same
-        floats.  case_cache is passed to case_distributions_for_tokens."""
+        floats."""
         reps = []
         for tok, cased, dists in zip(example.tokens, example.source_tokens(),
-                                     self._token_dists(example, None, case_cache)):
+                                     self._token_dists(example, case_cache)):
             char_mat = self.char_emb.infer(self.char_vocab.encode(tok))
             rows = self._case_rows(tok, cased, dists)
             if rows is not None:
@@ -303,8 +307,9 @@ class NerModel:
         truecaser = None
         if "tc.vocab" in c.sections:
             truecaser = Truecaser.from_container(c, prefix="tc")
-        model = cls(table, c.get_section("tags"),
-                    CharVocab.from_lines(c.get_section("char_vocab")), cfg, truecaser=truecaser)
+        char_vocab = CharVocab.from_lines(c.get_section("char_vocab"),
+                                          f"{c.path} section char_vocab")
+        model = cls(table, c.get_section("tags"), char_vocab, cfg, truecaser=truecaser)
         restore_params(c, model.named_params())
         return model
 
@@ -343,8 +348,8 @@ def train_ner(dataset: list[NerExample], model: NerModel,
               dev: list[NerExample] | None = None, log=None,
               stats: NerTrainStats | None = None) -> NerModel:
     """Sentence-at-a-time training under model.cfg; loss = CRF NLL plus (in
-    the finetuned and scratch regimes) aux_weight times the truecasing
-    cross-entropy on the sentence's original casing.  Tag-loss gradients
+    the finetuned and scratch regimes) aux_weight times the truecaser's
+    training loss on the sentence's original casing.  Tag-loss gradients
     never reach the truecaser."""
     cfg = model.cfg
     cfg.validate()
@@ -372,14 +377,15 @@ def train_ner(dataset: list[NerExample], model: NerModel,
         for idx in perm:
             ex = dataset[idx]
             gold_ids = model.tag_ids(ex.tags)
+            # the auxiliary loss draws from rng before the tagger's dropout;
+            # the case vectors come from the truecaser's evaluation pass,
+            # which draws nothing
             aux = None
-            dists = None
-            if case_cache is not None:
-                dists = case_distributions_for_tokens(model.truecaser, ex.tokens, case_cache)
-            elif aux_active:
-                aux, dists = _truecaser_pass(model, ex, rng)
-            loss = crf_nll(model.emissions(ex, train=True, rng=rng,
-                                           dists_per_token=dists), gold_ids, model.crf)
+            if aux_active:
+                aux = model.truecaser.training_loss(" ".join(ex.source_tokens()),
+                                                    cfg.pass_through_prob, rng)
+            loss = crf_nll(model.emissions(ex, train=True, rng=rng, case_cache=case_cache),
+                           gold_ids, model.crf)
             if aux is not None:
                 loss = loss + aux * cfg.aux_weight
             total += loss.item()
@@ -409,24 +415,3 @@ def train_ner(dataset: list[NerExample], model: NerModel,
         stats.best_dev_f1 = 100 * best_f1
     return model
 
-
-def _truecaser_pass(model: NerModel, ex: NerExample, rng: np.random.Generator):
-    """The truecaser's training forward on one sentence, in the finetuned and
-    scratch regimes: the auxiliary loss and the tagger's case distributions.
-
-    Predictions for the tagger always come from the lowercased sentence and
-    are detached.  The auxiliary loss trains on the original casing, with the
-    same pass-through trick as pretraining; when the pass-through draw keeps
-    the casing, the prediction input differs and gets its own forward.
-    """
-    tokens = ex.tokens
-    lowered = " ".join(lowercase_keep_length(t)[0] for t in tokens)
-    source_text = " ".join(ex.source_tokens())
-    tc_ex = make_training_example(source_text, model.cfg.pass_through_prob, rng)
-    logits = model.truecaser.logits(tc_ex.chars, train=True, rng=rng)
-    aux = cross_entropy(logits, tc_ex.labels)
-    if tc_ex.chars == lowered:
-        dist = softmax(logits.detach(), axis=-1).data
-    else:
-        dist = model.truecaser.distributions(lowered)
-    return aux, split_distributions(dist, tokens)

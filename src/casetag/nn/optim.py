@@ -40,10 +40,6 @@ class Adam:
                 raise NumericError("parameter became non-finite after adam step")
             p.grad = None
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
 
 def clip_global_norm(params: list[Tensor], max_norm: float) -> float:
     """Scale all grads so their joint L2 norm is at most max_norm; returns the pre-clip norm."""

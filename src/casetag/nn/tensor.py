@@ -88,9 +88,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         if self.data.size != 1:
             raise InputError(f"backward() needs a scalar loss, got shape {self.data.shape}")
@@ -239,23 +236,6 @@ class Tensor:
         return out
 
     # -- pointwise --------------------------------------------------------
-
-    def exp(self):
-        e = np.exp(self.data)
-        out = _result(e, (self,))
-        if out.requires_grad:
-            def bw(g, a=self, e=e):
-                a._accumulate(g * e)
-            out._backward = bw
-        return out
-
-    def log(self):
-        out = _result(np.log(self.data), (self,))
-        if out.requires_grad:
-            def bw(g, a=self):
-                a._accumulate(g / a.data)
-            out._backward = bw
-        return out
 
     def tanh(self):
         t = np.tanh(self.data)

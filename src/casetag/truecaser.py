@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from casetag.config import RunConfig
-from casetag.errors import ConfigError, InputError
+from casetag.errors import ConfigError, InputError, ParseError
 from casetag.metrics import PrfScore, char_f1
 from casetag.nn import (
     Adam,
@@ -122,11 +122,16 @@ class CharVocab:
         return [f"{i + 1}\t{ord(ch)}" for i, ch in enumerate(self.chars)]
 
     @classmethod
-    def from_lines(cls, lines: list[str]) -> "CharVocab":
+    def from_lines(cls, lines: list[str], where: str = "<vocabulary>") -> "CharVocab":
+        """Parse to_lines() output; where names the source in a ParseError."""
         chars = []
-        for line in lines:
+        for i, line in enumerate(lines, start=1):
             _, _, code = line.partition("\t")
-            chars.append(chr(int(code)))
+            try:
+                chars.append(chr(int(code)))
+            except (ValueError, OverflowError):
+                raise ParseError(
+                    f"{where} line {i}: {line!r} is not '<id><TAB><character code>'") from None
         return cls(chars)
 
 
@@ -168,6 +173,15 @@ class Truecaser:
         """(n, 2) rows (p_upper, p_lower); no gradients, evaluation mode."""
         return softmax_np(self.infer_logits(text), axis=-1)
 
+    def training_loss(self, sentence: str, pass_through_prob: float,
+                      rng: np.random.Generator) -> Tensor:
+        """One training step's truecasing loss on a cased sentence: the
+        cross-entropy of the training forward over the lowercased (or, with
+        probability pass_through_prob, unchanged) sentence against its
+        original casing."""
+        ex = make_training_example(sentence, pass_through_prob, rng)
+        return cross_entropy(self.logits(ex.chars, train=True, rng=rng), ex.labels)
+
     # -- persistence -------------------------------------------------------
 
     def to_container(self, container: Container | None = None, prefix: str = "tc") -> Container:
@@ -181,7 +195,8 @@ class Truecaser:
 
     @classmethod
     def from_container(cls, c: Container, prefix: str = "tc") -> "Truecaser":
-        vocab = CharVocab.from_lines(c.get_section(f"{prefix}.vocab"))
+        vocab = CharVocab.from_lines(c.get_section(f"{prefix}.vocab"),
+                                     f"{c.path} section {prefix}.vocab")
         model = cls(vocab,
                     char_emb_dim=c.get_meta(f"{prefix}.char_emb_dim", int),
                     hidden_dim=c.get_meta(f"{prefix}.hidden_dim", int),
@@ -239,8 +254,7 @@ def train_truecaser(sentences: list[str], cfg: RunConfig,
         perm = rng.permutation(len(train))
         total = 0.0
         for idx in perm:
-            ex = make_training_example(train[idx], cfg.pass_through_prob, rng)
-            loss = cross_entropy(model.logits(ex.chars, train=True, rng=rng), ex.labels)
+            loss = model.training_loss(train[idx], cfg.pass_through_prob, rng)
             total += loss.item()
             loss.backward()
             clip_global_norm(opt.params, cfg.clip_norm)

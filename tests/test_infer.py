@@ -167,7 +167,7 @@ def test_emissions_match_tape_bit_for_bit(mode, emb, hidden):
         assert np.array_equal(model.infer_emissions(ex), tape)
 
 
-# -- the frozen-truecaser cache --------------------------------------------------------------
+# -- case vectors in training, and the frozen-truecaser cache --------------------------
 
 def count_distributions(monkeypatch):
     seen = []
@@ -220,6 +220,34 @@ def test_finetuned_regime_bypasses_the_cache(monkeypatch):
     model, train, dev = cache_setup(REGIME_FINETUNED)
     seen = count_distributions(monkeypatch)
     train_ner(train, model, dev=dev)
-    # without pass-through the training forward supplies the distributions,
-    # so only the dev passes call distributions, once per sentence per epoch
-    assert sorted(seen) == sorted(lowered_text(ex) for ex in dev for _ in range(2))
+    # the truecaser changes every step, so every training sentence and every
+    # dev sentence runs the evaluation pass once per epoch
+    assert sorted(seen) == sorted(lowered_text(ex) for ex in train + dev for _ in range(2))
+
+
+def test_finetuned_training_reads_the_evaluation_pass(monkeypatch):
+    """With heavy truecaser dropout and no pass-through, every case block the
+    tagger trains on is the truecaser's clean evaluation output, taken with
+    the parameters of that step before its update."""
+    model, train, _ = cache_setup(REGIME_FINETUNED)
+    model.truecaser.dropout_rate = 0.5
+    expected, received = [], []
+    emissions, case_rows = NerModel.emissions, NerModel._case_rows
+
+    def recording_emissions(self, example, *args, **kwargs):
+        text = lowered_text(example)
+        # the rows of the characters, without those of the joining spaces
+        expected.append(self.truecaser.distributions(text)[[ch != " " for ch in text]])
+        received.append([])
+        return emissions(self, example, *args, **kwargs)
+
+    def recording_rows(self, token, cased_token, dists):
+        received[-1].append(dists)
+        return case_rows(self, token, cased_token, dists)
+
+    monkeypatch.setattr(NerModel, "emissions", recording_emissions)
+    monkeypatch.setattr(NerModel, "_case_rows", recording_rows)
+    train_ner(train, model)
+    assert len(expected) == 2 * len(train)
+    for want, blocks in zip(expected, received):
+        assert np.array_equal(np.concatenate(blocks), want)

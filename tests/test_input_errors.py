@@ -123,3 +123,59 @@ def test_embedding_file_not_utf8(tmp_path, files, capsys):
                             str(path), "--word-emb-dim", "4", "--epochs", "1",
                             "--output", str(tmp_path / "ner.ctr")],
                    str(path), "line 2", "UTF-8")
+
+
+def test_config_file_not_utf8(tmp_path, files, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"epochs=2\nseed=\xff\n")
+    one_line_error(capsys, ["prep-stats", "--config", str(path), "--input", str(files["text"]),
+                            "--output", str(tmp_path / "stats.tsv")],
+                   str(path), "line 2", "UTF-8")
+
+
+def test_env_config_file_not_utf8(tmp_path, files, capsys, monkeypatch):
+    path = tmp_path / "env.cfg"
+    path.write_bytes(b"# defaults\n\xc3(\n")
+    monkeypatch.setenv("CASETAG_CONFIG", str(path))
+    one_line_error(capsys, ["prep-stats", "--input", str(files["text"]),
+                            "--output", str(tmp_path / "stats.tsv")],
+                   str(path), "line 2", "UTF-8")
+
+
+def prep_corpus_argv(tmp_path, files, stats, rules=None):
+    argv = ["prep-corpus", "--input", str(files["text"]), "--stats", str(stats),
+            "--output", str(tmp_path / "clean.txt")]
+    return argv + (["--rules", str(rules)] if rules is not None else [])
+
+
+@pytest.mark.parametrize("content,line,needle", [
+    (b"#total_tokens\t3\nalan\tAlan:2\nbost\xf6n\tBoston:1\n", 3, "UTF-8"),
+    (b"#total_tokens\t3\na\tFoo:x\n", 2, "'x'"),
+    (b"#total_tokens\tzz\na\tA:1\n", 1, "'zz'"),
+    (b"#total_tokens\t4\nmonday\tMonday:-3 monday:1\n", 2, "'-3'"),
+])
+def test_stats_table_bad_line(tmp_path, files, capsys, content, line, needle):
+    path = tmp_path / "stats.tsv"
+    path.write_bytes(content)
+    one_line_error(capsys, prep_corpus_argv(tmp_path, files, path),
+                   str(path), f"line {line}", needle)
+
+
+def test_rule_list_not_utf8(tmp_path, files, capsys):
+    stats = tmp_path / "stats.tsv"
+    stats.write_bytes(b"#total_tokens\t0\n")
+    path = tmp_path / "rules.txt"
+    path.write_bytes(b"# titles\nMr.\nMonday\n\xe9t\xe9\n")
+    one_line_error(capsys, prep_corpus_argv(tmp_path, files, stats, rules=path),
+                   str(path), "line 4", "UTF-8")
+
+
+@pytest.mark.parametrize("old,new,line", [
+    (b"\n1\t97\n", b"\n1\tx\n", 1),
+    (b"\n3\t99\n", b"\n3\t1114112\n", 3),  # one past the last Unicode code point
+])
+def test_container_bad_vocabulary_line(files, capsys, old, new, line):
+    path = files["tc"]
+    header_replace(path, old, new)
+    one_line_error(capsys, ["truecase", "--model", str(path), "--input", str(files["text"])],
+                   str(path), "section tc.vocab", f"line {line}", repr(new.strip().decode()))

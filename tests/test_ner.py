@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import casetag.ner as ner_module
 from casetag.config import RunConfig
 from casetag.errors import AlignmentError, ConfigError
 from casetag.metrics import Span
@@ -26,11 +27,12 @@ from casetag.ner import (
     evaluate_ner,
     gold_case_vectors,
     lowercase_dataset,
+    lowercase_example,
     predict,
     predict_tags,
     train_ner,
 )
-from casetag.truecaser import CharVocab, Truecaser, eval_truecaser
+from casetag.truecaser import CharVocab, Truecaser, case_distributions_for_tokens, eval_truecaser
 
 TINY = dict(word_emb_dim=6, ner_char_emb_dim=4, cnn_filters=5, cnn_width=3,
             ner_hidden_dim=3, dropout=0.0)
@@ -99,7 +101,7 @@ def test_predicted_mode_needs_truecaser():
         tiny_model(tiny_dataset(), mode=MODE_PREDICTED)
 
 
-def test_constant_halves_equal_manual_concat():
+def test_constant_halves_equal_manual_concat(monkeypatch):
     """A truecaser pinned at (0.5, 0.5) must behave exactly like feeding the
     char CNN a constant (0.5, 0.5) pair per character."""
     data = tiny_dataset()
@@ -110,9 +112,31 @@ def test_constant_halves_equal_manual_concat():
     ex = data[0]
     with no_grad():
         via_truecaser = model.emissions(ex)
-        manual = model.emissions(
-            ex, dists_per_token=[np.full((len(t), 2), 0.5) for t in ex.tokens])
+        monkeypatch.setattr(ner_module, "case_distributions_for_tokens",
+                            lambda truecaser, tokens, cache=None:
+                            [np.full((len(t), 2), 0.5) for t in tokens])
+        manual = model.emissions(ex)
     assert np.allclose(via_truecaser.data, manual.data, atol=1e-12, rtol=0)
+
+
+# sharp s and the fi ligature (two characters when uppercased), dotted
+# capital I (two when lowercased), titlecase dz, combining acute and cedilla,
+# capital sigma (final form in str.lower())
+CASING_ALPHABET = "aZ\u00df\u0130\u01c5\ufb01\u0301\u0327\u03a3."
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.text(st.sampled_from(CASING_ALPHABET), min_size=1, max_size=5),
+                min_size=1, max_size=4))
+def test_case_vector_path_aligns_on_unicode_casing(tokens):
+    data = tiny_dataset()
+    model = tiny_model(data, mode=MODE_PREDICTED, truecaser=tiny_truecaser(data))
+    blocks = case_distributions_for_tokens(model.truecaser, tokens)
+    assert [block.shape for block in blocks] == [(len(tok), 2) for tok in tokens]
+    example = NerExample(tokens, ["O"] * len(tokens))
+    for ex in (example, lowercase_example(example)):
+        assert model.infer_emissions(ex).shape == (len(tokens), len(model.tagset))
+        assert model.emissions(ex).shape == (len(tokens), len(model.tagset))
 
 
 # -- forward --------------------------------------------------------------------

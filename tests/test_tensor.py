@@ -86,8 +86,6 @@ def test_pointwise_grads():
     a = rng.normal(size=(2, 3))
     check_op(lambda ts: ts[0].tanh().sum(), [a])
     check_op(lambda ts: ts[0].sigmoid().sum(), [a])
-    check_op(lambda ts: ts[0].exp().sum(), [a])
-    check_op(lambda ts: (ts[0] * ts[0] + 1.0).log().sum(), [a])
 
 
 def test_logsumexp_grads_and_value():
