@@ -12,6 +12,7 @@ reruns of the same config.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -23,7 +24,7 @@ from casetag.corpus import (
     prepare_corpus,
 )
 from casetag.data import read_conll, read_embeddings, write_conll
-from casetag.errors import CasetagError, ConfigError, text_lines
+from casetag.errors import CasetagError, ConfigError, iter_text_lines, text_lines
 from casetag.metrics import PrfScore, bio_decode, char_f1, span_f1
 from casetag.ner import (
     EmbeddingTable,
@@ -130,6 +131,24 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 
 def _write_lines(path: str, lines) -> None:
+    """Write to a temporary file beside `path`, then rename it into place:
+    when `lines` streams from an input that fails part way (bytes that are
+    not UTF-8), no output file is left.  A path that is a link or not a
+    plain file, such as /dev/stdout, is written in place instead."""
+    if os.path.islink(path) or (os.path.exists(path) and not os.path.isfile(path)):
+        _write_to(path, lines)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        _write_to(tmp, lines)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_to(path: str, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
@@ -144,7 +163,7 @@ def _progress(msg: str) -> None:
 
 def cmd_prep_stats(cfg: RunConfig) -> int:
     _require(cfg, "input", "output")
-    stats = CasingStats.collect(text_lines(cfg.input))
+    stats = CasingStats.collect(iter_text_lines(cfg.input))
     stats.save(cfg.output)
     _progress(f"collected casing statistics for {len(stats.counts)} words "
               f"over {stats.total_tokens} tokens")
@@ -156,7 +175,7 @@ def cmd_prep_corpus(cfg: RunConfig) -> int:
     stats = CasingStats.load(cfg.stats)
     rules = LowercaseRules.load(cfg.rules) if cfg.rules else LowercaseRules.default()
     report = PrepReport()
-    cleaned = prepare_corpus(text_lines(cfg.input), stats, rules,
+    cleaned = prepare_corpus(iter_text_lines(cfg.input), stats, rules,
                              threshold=cfg.caps_threshold, report=report)
     _write_lines(cfg.output, cleaned)
     print(report.block())

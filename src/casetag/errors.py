@@ -1,6 +1,9 @@
 """Exception types shared across the toolkit, and the text-file reader that
 raises the typed error for bytes that are not UTF-8."""
 
+import itertools
+from typing import Iterator
+
 
 class CasetagError(Exception):
     pass
@@ -26,12 +29,20 @@ class ParseError(CasetagError):
     """Malformed file content; message carries the line number."""
 
 
-def text_lines(path: str) -> list[str]:
-    """The lines of a UTF-8 text file, newlines stripped.  Bytes that are
-    not UTF-8 raise ParseError naming the file and the line."""
+def iter_text_lines(path: str) -> Iterator[str]:
+    """The lines of a UTF-8 text file, newlines stripped, read a block at a
+    time.  Bytes that are not UTF-8 raise ParseError naming the file and the
+    line."""
+    return itertools.chain.from_iterable(_line_blocks(path))
+
+
+def _line_blocks(path: str) -> Iterator[list[str]]:
+    # blocks of lines, so that the generator resumes once per block and not
+    # once per line
     try:
         with open(path, encoding="utf-8") as fh:
-            return [raw.rstrip("\n") for raw in fh]
+            while block := fh.readlines(1 << 16):
+                yield [raw.rstrip("\n") for raw in block]
     except UnicodeDecodeError as exc:
         # the decoder works in blocks, so find the line again in bytes
         i = 0
@@ -42,3 +53,8 @@ def text_lines(path: str) -> list[str]:
                 except UnicodeDecodeError:
                     break
         raise ParseError(f"{path} line {i}: not UTF-8 text ({exc.reason})") from None
+
+
+def text_lines(path: str) -> list[str]:
+    """All of iter_text_lines(path) at once."""
+    return list(iter_text_lines(path))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from casetag.errors import ConfigError, InputError
-from casetag.nn.tensor import DTYPE, Tensor, concat, sigmoid_np, stack, zeros
+from casetag.nn.tensor import DTYPE, Tensor, _result, concat, sigmoid_np, zeros
 
 
 def glorot(shape: tuple[int, int], rng: np.random.Generator) -> Tensor:
@@ -78,11 +78,10 @@ class LSTMCell:
         self.b = Tensor(b, requires_grad=True)
 
     def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        gates = self.W_ih @ x + self.W_hh @ h + self.b
-        return self._apply_gates(gates, c)
-
-    def _apply_gates(self, gates: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+        """One timestep on the tape, one node per operation: the reference
+        that the tests hold run()'s forward and backward against."""
         H = self.hidden_dim
+        gates = self.W_ih @ x + self.W_hh @ h + self.b
         i = gates[0:H].sigmoid()
         f = gates[H:2 * H].sigmoid()
         g = gates[2 * H:3 * H].tanh()
@@ -91,23 +90,13 @@ class LSTMCell:
         h_new = o * c_new.tanh()
         return h_new, c_new
 
-    def run(self, xs: Tensor, reverse: bool = False) -> Tensor:
-        """Run over a (L, in_dim) sequence; returns (L, hidden_dim) states."""
-        L = xs.shape[0]
-        pre = xs @ self.W_ih.T + self.b  # (L, 4H), input projections hoisted out of the loop
-        h = zeros((self.hidden_dim,))
-        c = zeros((self.hidden_dim,))
-        order = range(L - 1, -1, -1) if reverse else range(L)
-        outs: list[Tensor | None] = [None] * L
-        for t in order:
-            gates = pre[t] + self.W_hh @ h
-            h, c = self._apply_gates(gates, c)
-            outs[t] = h
-        return stack(outs, axis=0)
-
-    def infer(self, xs: np.ndarray, reverse: bool = False) -> np.ndarray:
-        """run() without the tape; sigmoid runs once over all 4H gate
-        pre-activations, of which the candidate block's is unused."""
+    def _scan(self, xs: np.ndarray, reverse: bool, saved: list | None = None) -> np.ndarray:
+        """The recurrence on numpy arrays, input projections hoisted out of
+        the loop; returns the (L, H) states.  Given a list, appends to it, for
+        each step in the order it ran, what the backward pass reads: the
+        sigmoid of all 4H gate pre-activations (the candidate block's is
+        unused), the candidate tanh, the cell state and its tanh.  Inference
+        keeps none of them."""
         H = self.hidden_dim
         L = xs.shape[0]
         pre = xs @ self.W_ih.data.T + self.b.data
@@ -118,10 +107,87 @@ class LSTMCell:
         for t in (range(L - 1, -1, -1) if reverse else range(L)):
             gates = pre[t] + W_hh @ h
             s = sigmoid_np(gates)
-            c = s[H:2 * H] * c + s[0:H] * np.tanh(gates[2 * H:3 * H])
-            h = s[3 * H:4 * H] * np.tanh(c)
+            g = np.tanh(gates[2 * H:3 * H])
+            c = s[H:2 * H] * c + s[0:H] * g
+            tc = np.tanh(c)
+            h = s[3 * H:4 * H] * tc
             out[t] = h
+            if saved is not None:
+                saved.append((s, g, c, tc))
         return out
+
+    def run(self, xs: Tensor, reverse: bool = False) -> Tensor:
+        """Run over a (L, in_dim) sequence; returns (L, hidden_dim) states.
+
+        The whole sequence is one tape node whose backward is hand-written
+        backpropagation through time.  Forward and backward compute the same
+        floats, in the same order, as a tape of one node per operation: the
+        hoisted projections `pre = xs @ W_ih.T + b`, then at each step
+        `pre[t] + W_hh @ h` and step()'s gate operations.  So training is
+        bit-identical to that tape."""
+        saved = []
+        out = self._scan(xs.data, reverse, saved)
+        node = _result(out, (xs, self.W_ih, self.W_hh, self.b))
+        if node.requires_grad:
+            W_ih, W_hh = self.W_ih.data, self.W_hh.data
+
+            def bw(g):
+                dpre = self._bptt(g, out, saved, W_hh, reverse)
+                if xs.requires_grad:
+                    xs._accumulate(dpre @ W_ih)
+                if self.W_ih.requires_grad:
+                    self.W_ih._accumulate((xs.data.T @ dpre).T)
+                if self.b.requires_grad:
+                    self.b._accumulate(dpre.sum(axis=0))
+            node._backward = bw
+        return node
+
+    def _bptt(self, g: np.ndarray, out: np.ndarray, saved: list, W_hh: np.ndarray,
+              reverse: bool) -> np.ndarray:
+        """Gradient of the (L, 4H) gate pre-activations, in time order, from
+        the gradient g of the states; adds dW_hh into W_hh.grad step by step,
+        latest step first, as the per-step tape does.  Each product keeps the
+        tape's grouping: sigmoid' is (g*s)*(1-s) and tanh' is g*(1-t*t)."""
+        H = self.hidden_dim
+        L = out.shape[0]
+        S, G, C, TC = (np.stack(a) for a in zip(*saved))
+        hs = out[::-1] if reverse else out
+        gs = g[::-1] if reverse else g
+        zero = np.zeros((1, H), dtype=DTYPE)
+        # per gate block, the factor its upstream gradient is multiplied by
+        # first: i <- dc*g, f <- dc*c_prev, candidate <- dc*i, o <- dh*tanh(c)
+        first = np.concatenate([G, np.concatenate([zero, C[:-1]]), S[:, 0:H], TC], axis=1)
+        # then s and (1-s) for the sigmoid blocks, 1 and (1-g*g) for the candidate
+        second = S.copy()
+        second[:, 2 * H:3 * H] = 1.0
+        third = 1.0 - S
+        third[:, 2 * H:3 * H] = 1.0 - G * G
+        dtanh_c = 1.0 - TC * TC
+        h_prev = np.concatenate([zero, hs[:-1]])
+        dW_hh = None
+        if self.W_hh.requires_grad:
+            if self.W_hh.grad is None:
+                self.W_hh.grad = np.zeros_like(self.W_hh.data)
+            dW_hh = self.W_hh.grad
+        dpre = np.empty((L, 4 * H), dtype=DTYPE)
+        dh_next = dc_next = None
+        for k in range(L - 1, -1, -1):
+            dh = gs[k] if dh_next is None else gs[k] + dh_next
+            dc = (dh * S[k, 3 * H:]) * dtanh_c[k]
+            if dc_next is not None:
+                dc = dc + dc_next
+            d = np.concatenate((dc, dc, dc, dh)) * first[k] * second[k] * third[k]
+            dpre[L - 1 - k if reverse else k] = d
+            if dW_hh is not None:
+                dW_hh += np.outer(d, h_prev[k])
+            if k:
+                dh_next = W_hh.T @ d
+                dc_next = dc * S[k, H:2 * H]
+        return dpre
+
+    def infer(self, xs: np.ndarray, reverse: bool = False) -> np.ndarray:
+        """run() without the tape."""
+        return self._scan(xs, reverse)
 
     def named_params(self):
         return [("W_ih", self.W_ih), ("W_hh", self.W_hh), ("b", self.b)]

@@ -13,6 +13,7 @@ load/save cycle reproduces the file byte for byte.
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 
@@ -117,10 +118,13 @@ class Container:
             blob = fh.read()
         offset = 0
         for name, shape in shapes:
-            nbytes = (int(np.prod(shape)) if shape else 1) * 4
+            nbytes = math.prod(shape) * 4  # exact: np.prod would wrap at 2**63
             if offset + nbytes > len(blob):
                 raise ParseError(f"{path}: binary payload truncated at array {name}")
-            arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f4").reshape(shape)
+            try:
+                arr = np.frombuffer(blob[offset:offset + nbytes], dtype="<f4").reshape(shape)
+            except ValueError:  # a zero-sized shape with a dimension numpy cannot index
+                raise ParseError(f"{path}: param {name} has an unusable shape {shape}") from None
             out.arrays[name] = arr
             offset += nbytes
         if offset != len(blob):

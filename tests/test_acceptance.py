@@ -20,11 +20,8 @@ from casetag.corpus import (
 )
 from casetag.crf import (
     Crf,
-    brute_force_best,
-    brute_force_partition,
     crf_nll,
     log_partition,
-    path_score,
     viterbi_decode,
 )
 from casetag.experiments import (
@@ -58,6 +55,8 @@ from casetag.nn import (
 )
 from casetag.synthetic import ner_dataset, truecaser_corpus
 from casetag.truecaser import CharVocab, Truecaser
+
+from crf_oracles import brute_force_best, brute_force_partition, path_score
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):

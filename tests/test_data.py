@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from casetag.data import read_conll, read_embeddings, write_conll
 from casetag.errors import ParseError
@@ -121,3 +122,41 @@ def test_loaded_embeddings_frozen_unk_trainable(tmp_path):
     assert table.unk.requires_grad
     names = [n for n, _ in table.named_params()]
     assert names == ["unk"]
+
+
+# -- line endings ------------------------------------------------------------------
+
+_TEXT = st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp"))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.lists(st.tuples(st.text(_TEXT, min_size=1, max_size=6),
+                                   st.sampled_from(["O", "B-PER", "I-LOC"])),
+                         min_size=1, max_size=5), min_size=1, max_size=4))
+def test_conll_reads_the_same_with_crlf_line_endings(tmp_path, sentences):
+    text = "".join("".join(f"{tok} {tag}\n" for tok, tag in sent) + "\n" for sent in sentences)
+    (tmp_path / "lf.conll").write_bytes(text.encode("utf-8"))
+    (tmp_path / "crlf.conll").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    lf, crlf = read_conll(str(tmp_path / "lf.conll")), read_conll(str(tmp_path / "crlf.conll"))
+    assert [(ex.tokens, ex.tags) for ex in crlf] == [(ex.tokens, ex.tags) for ex in lf]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(st.text(_TEXT, min_size=1, max_size=6),
+              st.lists(st.floats(-1e6, 1e6),
+                       min_size=dim, max_size=dim)),
+    min_size=1, max_size=5)))
+def test_embeddings_read_the_same_with_crlf_line_endings(tmp_path, rows):
+    dim = len(rows[0][1])
+    text = "".join(word + " " + " ".join(repr(v) for v in vec) + "\n" for word, vec in rows)
+    (tmp_path / "lf.txt").write_bytes(text.encode("utf-8"))
+    (tmp_path / "crlf.txt").write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    lf = read_embeddings(str(tmp_path / "lf.txt"), dim)
+    crlf = read_embeddings(str(tmp_path / "crlf.txt"), dim)
+    assert crlf.words == lf.words
+    assert np.array_equal(crlf.vectors.data, lf.vectors.data)
+    assert np.array_equal(crlf.unk.data, lf.unk.data)
+    assert crlf.duplicates_skipped == lf.duplicates_skipped

@@ -7,6 +7,7 @@ import pytest
 from casetag.cli import main
 from casetag.config import RunConfig
 from casetag.data import write_conll
+from casetag.errors import iter_text_lines
 from casetag.ner import EmbeddingTable, NerExample, NerModel, build_char_vocab, build_tagset
 from casetag.truecaser import CharVocab, Truecaser
 
@@ -106,6 +107,33 @@ def test_corpus_file_not_utf8(tmp_path, capsys):
     one_line_error(capsys, ["prep-stats", "--input", str(path),
                             "--output", str(tmp_path / "stats.tsv")],
                    str(path), "line 2", "UTF-8")
+
+
+def test_prep_corpus_streams_and_leaves_no_output_after_a_bad_line(tmp_path, capsys):
+    stats = tmp_path / "stats.tsv"
+    stats.write_bytes(b"#total_tokens\t0\n")
+    corpus = tmp_path / "corpus.txt"
+    n = 20000  # far past the text decoder's first block
+    corpus.write_bytes(b"the cup ran .\n" * n + b"the cup \xe9tait\n")
+    # read lazily: the first line comes before the bad line is reached
+    assert next(iter_text_lines(str(corpus))) == "the cup ran ."
+    one_line_error(capsys, ["prep-corpus", "--input", str(corpus), "--stats", str(stats),
+                            "--output", str(tmp_path / "clean.txt")],
+                   str(corpus), f"line {n + 1}", "UTF-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt", "stats.tsv"]
+
+
+def test_prep_corpus_writes_through_a_link(tmp_path, capsys):
+    stats = tmp_path / "stats.tsv"
+    stats.write_bytes(b"#total_tokens\t0\n")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_bytes(b"the cup ran .\n")
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_bytes(b"")
+    link.symlink_to(target)
+    assert main(["prep-corpus", "--input", str(corpus), "--stats", str(stats),
+                 "--output", str(link)]) == 0
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == "the cup ran .\n"
 
 
 def test_conll_file_not_utf8(tmp_path, capsys):

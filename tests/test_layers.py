@@ -17,7 +17,9 @@ from casetag.nn import (
     cross_entropy,
     dropout,
     gradient_check,
+    no_grad,
     prefixed,
+    stack,
     zeros,
 )
 
@@ -176,6 +178,78 @@ def test_lstm_gradient_matches_finite_differences():
         return (h * w).sum() + (c * c).sum()
 
     report = gradient_check(loss, prefixed("cell", cell))
+    assert report.max_error <= 1e-4
+
+
+# -- fused lstm run ------------------------------------------------------------
+
+def step_oracle_run(cell, xs, reverse=False):
+    """run() as a per-step tape: the hoisted projections xs @ W_ih.T + b,
+    then one step() per position.  step() sums W_ih @ x + W_hh @ h + b; an
+    identity W_ih and a zero b make that pre[t] + W_hh @ h exactly, since
+    I @ v == v and v + 0 == v, which is the sum run() takes."""
+    H = cell.hidden_dim
+    proj = LSTMCell(4 * H, H, np.random.default_rng(0))
+    proj.W_ih = Tensor(np.eye(4 * H))
+    proj.W_hh = cell.W_hh
+    proj.b = zeros((4 * H,))
+    pre = xs @ cell.W_ih.T + cell.b
+    h, c = zeros((H,)), zeros((H,))
+    L = xs.shape[0]
+    outs = [None] * L
+    for t in (range(L - 1, -1, -1) if reverse else range(L)):
+        h, c = proj.step(pre[t], h, c)
+        outs[t] = h
+    return stack(outs, axis=0)
+
+
+def run_and_grads(run, cell, xs, w):
+    for _, p in cell.named_params():
+        p.grad = None
+    xs.grad = None
+    out = run(xs)
+    (out * Tensor(w)).sum().backward()
+    return [out.data, xs.grad] + [p.grad for _, p in cell.named_params()]
+
+
+@pytest.mark.parametrize("in_dim,hidden", [(16, 24), (50, 100)])
+@pytest.mark.parametrize("L", [1, 40])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_run_matches_step_tape_bit_for_bit(in_dim, hidden, L, reverse):
+    rng = np.random.default_rng(L + hidden)
+    cell = LSTMCell(in_dim, hidden, rng)
+    for _, p in cell.named_params():
+        p.data += rng.normal(0, 0.3, p.shape)
+    xs = Tensor(rng.normal(size=(L, in_dim)), requires_grad=True)
+    w = rng.normal(size=(L, hidden))
+    fused = run_and_grads(lambda x: cell.run(x, reverse), cell, xs, w)
+    oracle = run_and_grads(lambda x: step_oracle_run(cell, x, reverse), cell, xs, w)
+    for name, a, b in zip(["out", "xs", "W_ih", "W_hh", "b"], fused, oracle):
+        assert np.array_equal(a, b), name
+
+
+def test_lstm_run_honours_requires_grad_and_no_grad():
+    rng = np.random.default_rng(5)
+    cell = LSTMCell(3, 4, rng)
+    xs = Tensor(rng.normal(size=(6, 3)))
+    (cell.run(xs, reverse=True) * Tensor(rng.normal(size=(6, 4)))).sum().backward()
+    assert xs.grad is None
+    assert all(p.grad is not None for _, p in cell.named_params())
+    with no_grad():
+        out = cell.run(Tensor(xs.data, requires_grad=True))
+    assert not out.requires_grad and out._parents == () and out._backward is None
+
+
+def test_lstm_reversed_run_gradient_check():
+    rng = np.random.default_rng(17)
+    cell = LSTMCell(3, 2, rng)
+    xs = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 2)))
+
+    def loss():
+        return (cell.run(xs, reverse=True) * w).sum()
+
+    report = gradient_check(loss, prefixed("cell", cell) + [("xs", xs)])
     assert report.max_error <= 1e-4
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from casetag.errors import ParseError
 from casetag.nn import Container, Tensor, restore_params, store_params
@@ -77,3 +78,55 @@ def test_load_rejects_truncated_payload(tmp_path):
     p.write_bytes(data[:-4])
     with pytest.raises(ParseError):
         Container.load(str(p))
+
+
+def _fuzzed(raw: bytes, data) -> bytes:
+    """raw with one header line, one count or dimension, or one byte range
+    replaced, or cut short."""
+    header, _, blob = raw.partition(b"\nbinary\n")
+    lines = header.split(b"\n")
+    kind = data.draw(st.sampled_from(["line", "number", "bytes", "cut"]))
+    if kind == "line":
+        lines[data.draw(st.integers(0, len(lines) - 1))] = data.draw(st.binary(max_size=40))
+    elif kind == "number":
+        i = data.draw(st.sampled_from(
+            [i for i, line in enumerate(lines) if line.startswith((b"section ", b"param "))]))
+        number = st.integers(-2 ** 70, 2 ** 70).map(str)
+        value = data.draw(st.one_of(number, st.lists(number, max_size=4).map(",".join),
+                                    st.text(max_size=12)))
+        lines[i] = lines[i].rpartition(b" ")[0] + b" " + value.encode("utf-8")
+    else:
+        start = data.draw(st.integers(0, len(raw)))
+        if kind == "cut":
+            return raw[:start]
+        end = data.draw(st.integers(start, min(len(raw), start + 8)))
+        return raw[:start] + data.draw(st.binary(max_size=8)) + raw[end:]
+    return b"\n".join(lines) + b"\nbinary\n" + blob
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_fuzzed_header_raises_only_parse_error(tmp_path, data):
+    p = tmp_path / "m.ctr"
+    make_container().save(str(p))
+    p.write_bytes(_fuzzed(p.read_bytes(), data))
+    try:
+        Container.load(str(p))
+    except ParseError:
+        pass
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n")),
+                max_size=6))
+def test_section_text_round_trips(tmp_path, lines):
+    p1, p2 = tmp_path / "a.ctr", tmp_path / "b.ctr"
+    c = make_container()
+    c.sections["text"] = lines
+    c.save(str(p1))
+    loaded = Container.load(str(p1))
+    assert loaded.sections == c.sections
+    loaded.save(str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
