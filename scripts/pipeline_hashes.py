@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Run the README fixture pipeline in a temporary directory and print the
+sha256 of every file it leaves and of every command's stdout and stderr.
+
+    PYTHONPATH=src python3 scripts/pipeline_hashes.py
+
+The steps: make_fixtures.py; prep-stats and prep-corpus; train-truecaser at
+dropout 0.25 and 0.0; train-ner with a dev file in case modes none and gold
+and in predicted mode with the fixed, finetuned (--patience 1) and scratch
+regimes; then truecase, tag and eval-ner.  Every path is relative to the
+temporary directory, so two runs of the same code print the same lines, and
+two versions of the code that train the same bytes print the same lines.
+Compare the output of two checkouts with diff.  Exits 1 if a command fails.
+"""
+
+import contextlib
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from casetag.cli import main as casetag_main
+
+FIXTURES = Path(__file__).resolve().parent / "make_fixtures.py"
+
+TC = ["--epochs", "3", "--seed", "1", "--char-emb-dim", "24", "--tc-hidden-dim", "32",
+      "--min-char-freq", "1"]
+NER = ["--train", "fx/ner_train.conll", "--dev", "fx/ner_test.conll", "--epochs", "2",
+       "--seed", "1", "--word-emb-dim", "16", "--ner-char-emb-dim", "16",
+       "--cnn-filters", "16", "--ner-hidden-dim", "16", "--char-emb-dim", "24",
+       "--tc-hidden-dim", "32", "--scenario", "uncased"]
+PREDICTED = ["--case-mode", "predicted", "--truecaser-model", "tc.ctr"]
+
+STEPS = [
+    ("prep-stats", ["prep-stats", "--input", "fx/truecaser_train.txt", "--output", "stats.tsv"]),
+    ("prep-corpus", ["prep-corpus", "--input", "fx/truecaser_train.txt", "--stats", "stats.tsv",
+                     "--output", "clean.txt"]),
+    ("train-tc", ["train-truecaser", "--input", "clean.txt", "--output", "tc.ctr", *TC]),
+    ("train-tc-nodrop", ["train-truecaser", "--input", "clean.txt", "--output", "tc0.ctr",
+                         "--dropout", "0.0", *TC]),
+    ("ner-none", ["train-ner", *NER, "--output", "none.ctr"]),
+    ("ner-gold", ["train-ner", *NER, "--output", "gold.ctr", "--case-mode", "gold"]),
+    ("ner-fixed", ["train-ner", *NER, "--output", "fixed.ctr", *PREDICTED]),
+    ("ner-finetuned", ["train-ner", *NER, "--output", "finetuned.ctr", *PREDICTED,
+                       "--regime", "finetuned", "--patience", "1"]),
+    ("ner-scratch", ["train-ner", *NER, "--output", "scratch.ctr", "--case-mode", "predicted",
+                     "--regime", "scratch"]),
+    ("truecase", ["truecase", "--model", "tc.ctr", "--input", "fx/truecaser_test.txt",
+                  "--lowercase", "--output", "truecased.txt"]),
+    ("tag", ["tag", "--model", "fixed.ctr", "--input", "fx/ner_test.conll", "--lowercase",
+             "--output", "tagged.conll"]),
+    ("eval-ner", ["eval-ner", "--model", "finetuned.ctr", "--test", "fx/ner_test.conll",
+                  "--lowercase"]),
+]
+
+
+def sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        subprocess.run([sys.executable, str(FIXTURES), "--out", str(work / "fx")],
+                       check=True, stdout=subprocess.DEVNULL)
+        os.chdir(work)
+        (work / "logs").mkdir()
+        for name, argv in STEPS:
+            with open(f"logs/{name}.out", "w", encoding="utf-8") as out, \
+                    open(f"logs/{name}.err", "w", encoding="utf-8") as err, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = casetag_main(argv)
+            if code != 0:
+                print(f"{name} exited {code}: {(work / 'logs' / f'{name}.err').read_text()}",
+                      file=sys.stderr)
+                return 1
+        for path in sorted(p for p in work.rglob("*") if p.is_file()):
+            print(f"{sha256(path)}  {path.relative_to(work)}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

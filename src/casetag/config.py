@@ -128,7 +128,16 @@ class RunConfig:
                 raise ConfigError(f"{key} must be {'|'.join(allowed)}, got {value!r}")
         if self.regime != REGIME_FIXED and self.case_mode != MODE_PREDICTED:
             raise ConfigError(f"regime {self.regime!r} requires case mode 'predicted'")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not 0.0 <= self.pass_through_prob <= 1.0:
-            raise ConfigError(f"pass_through_prob must be in [0, 1], got {self.pass_through_prob}")
+        for key, ok, rule in (
+                ("dropout", 0.0 <= self.dropout < 1.0, "in [0, 1)"),
+                ("pass_through_prob", 0.0 <= self.pass_through_prob <= 1.0, "in [0, 1]"),
+                ("dev_fraction", 0.0 <= self.dev_fraction < 1.0, "in [0, 1)"),
+                ("caps_threshold", 0.0 <= self.caps_threshold <= 1.0, "in [0, 1]"),
+                ("lr", self.lr > 0.0, "positive"),
+                ("clip_norm", self.clip_norm > 0.0, "positive"),
+                ("aux_weight", self.aux_weight >= 0.0, "non-negative"),
+                ("epochs", self.epochs >= 1, "at least 1"),
+                ("patience", self.patience >= 0, "non-negative"),
+                ("max_sentence_chars", self.max_sentence_chars >= 1, "at least 1")):
+            if not ok:
+                raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")

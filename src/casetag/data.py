@@ -69,6 +69,8 @@ def read_embeddings(path: str, dim: int) -> EmbeddingTable:
             vec = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError as exc:
             raise ParseError(f"{path} line {i}: {exc}") from exc
+        if not np.all(np.isfinite(vec)):
+            raise ParseError(f"{path} line {i}: non-finite value in the vector for {word!r}")
         key = word.lower()
         if key in seen:
             duplicates += 1

@@ -26,7 +26,7 @@ training mode for that loss and once in evaluation mode for the case vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +45,13 @@ from casetag.crf import Crf, crf_nll, viterbi_decode
 from casetag.errors import AlignmentError, ConfigError, InputError
 from casetag.metrics import Span, bio_decode, span_f1
 from casetag.nn import (
-    Adam,
     BiLSTM,
     CharCNN,
     Container,
     Embedding,
     Linear,
     Tensor,
-    clip_global_norm,
+    clip_global_norm,  # not called here: casebench's tracer wraps it under this module
     concat,
     dropout,
     prefixed,
@@ -63,9 +62,11 @@ from casetag.nn import (
 from casetag.truecaser import (
     CharVocab,
     LOWER,
+    TrainStats,
     Truecaser,
     UPPER,
     case_distributions_for_tokens,
+    fit,
     lowercase_keep_length,
 )
 
@@ -337,81 +338,45 @@ def _dataset_has_casing(dataset: list[NerExample]) -> bool:
     return any(ch.isupper() for ex in dataset for tok in ex.source_tokens() for ch in tok)
 
 
-@dataclass
-class NerTrainStats:
-    epoch_log: list = field(default_factory=list)
-    best_dev_f1: float | None = None
-    stopped_epoch: int | None = None
-
-
 def train_ner(dataset: list[NerExample], model: NerModel,
               dev: list[NerExample] | None = None, log=None,
-              stats: NerTrainStats | None = None) -> NerModel:
+              stats: TrainStats | None = None) -> NerModel:
     """Sentence-at-a-time training under model.cfg; loss = CRF NLL plus (in
     the finetuned and scratch regimes) aux_weight times the truecaser's
     training loss on the sentence's original casing.  Tag-loss gradients
-    never reach the truecaser."""
+    never reach the truecaser.  With a dev set and cfg.patience > 0, the
+    parameters of the epoch with the best dev F1 are kept."""
     cfg = model.cfg
     cfg.validate()
-    if not dataset:
-        raise ConfigError("empty training dataset")
     if cfg.case_mode == MODE_GOLD and not _dataset_has_casing(dataset):
         raise ConfigError("gold case vectors requested but the training text carries no casing")
     # validate() admits the finetuned and scratch regimes only in predicted mode
     aux_active = cfg.regime != REGIME_FIXED
-    stats = stats if stats is not None else NerTrainStats()
-    rng = np.random.default_rng(cfg.seed)
+    stats = stats if stats is not None else TrainStats()
 
-    trained = list(model.named_params())
-    if aux_active:
-        trained += model.truecaser.named_params("tc")
-    opt = Adam([p for _, p in trained], lr=cfg.lr)
+    trained = model.named_params() + (model.truecaser.named_params("tc") if aux_active else [])
     # a frozen truecaser gives the same distributions for the same text, so
     # one forward per distinct sentence serves every epoch and dev pass
     case_cache = {} if cfg.case_mode == MODE_PREDICTED and not aux_active else None
 
-    best_f1, best_state, bad_epochs = -1.0, None, 0
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(dataset))
-        total = 0.0
-        for idx in perm:
-            ex = dataset[idx]
-            gold_ids = model.tag_ids(ex.tags)
-            # the auxiliary loss draws from rng before the tagger's dropout;
-            # the case vectors come from the truecaser's evaluation pass,
-            # which draws nothing
-            aux = None
-            if aux_active:
-                aux = model.truecaser.training_loss(" ".join(ex.source_tokens()),
-                                                    cfg.pass_through_prob, rng)
-            loss = crf_nll(model.emissions(ex, train=True, rng=rng, case_cache=case_cache),
-                           gold_ids, model.crf)
-            if aux is not None:
-                loss = loss + aux * cfg.aux_weight
-            total += loss.item()
-            loss.backward()
-            clip_global_norm(opt.params, cfg.clip_norm)
-            opt.step()
-        entry = {"epoch": epoch + 1, "train_loss": total / len(dataset)}
-        if dev:
-            score = evaluate_ner(model, dev, case_cache)
-            entry["dev_f1"] = 100 * score.f1
-            if cfg.patience > 0:
-                if score.f1 > best_f1:
-                    best_f1, bad_epochs = score.f1, 0
-                    best_state = {n: p.data.copy() for n, p in trained}
-                else:
-                    bad_epochs += 1
-        stats.epoch_log.append(entry)
-        if log is not None:
-            extra = f" dev_f1={entry['dev_f1']:.1f}" if "dev_f1" in entry else ""
-            log(f"epoch {entry['epoch']}: train_loss={entry['train_loss']:.4f}{extra}")
-        if dev and cfg.patience > 0 and bad_epochs >= cfg.patience:
-            stats.stopped_epoch = epoch + 1
-            break
-    if best_state is not None:
-        for name, p in trained:
-            p.data[...] = best_state[name]
-        stats.best_dev_f1 = 100 * best_f1
-    return model
+    def loss_fn(ex: NerExample, rng: np.random.Generator) -> Tensor:
+        # the auxiliary loss draws from rng before the tagger's dropout; the
+        # case vectors come from the truecaser's evaluation pass, which
+        # draws nothing
+        aux = None
+        if aux_active:
+            aux = model.truecaser.training_loss(" ".join(ex.source_tokens()),
+                                                cfg.pass_through_prob, rng)
+        loss = crf_nll(model.emissions(ex, train=True, rng=rng, case_cache=case_cache),
+                       model.tag_ids(ex.tags), model.crf)
+        return loss if aux is None else loss + aux * cfg.aux_weight
 
+    def evaluate():
+        f1 = evaluate_ner(model, dev, case_cache).f1
+        return {"dev_f1": 100 * f1}, f" dev_f1={100 * f1:.1f}", f1
+
+    best = fit(dataset, trained, loss_fn, cfg, np.random.default_rng(cfg.seed), stats, log,
+               evaluate if dev else None)
+    if best is not None:
+        stats.best_dev_f1 = 100 * best
+    return model

@@ -9,7 +9,6 @@ from casetag.nn.tensor import (
     logsumexp,
     no_grad,
     sigmoid_np,
-    softmax,
     softmax_np,
     stack,
     zeros,
@@ -21,7 +20,7 @@ from casetag.nn.serialize import Container, restore_params, store_params
 
 __all__ = [
     "DTYPE", "Tensor", "as_tensor", "concat", "cross_entropy", "log_softmax",
-    "log_softmax_np", "logsumexp", "no_grad", "sigmoid_np", "softmax", "softmax_np",
+    "log_softmax_np", "logsumexp", "no_grad", "sigmoid_np", "softmax_np",
     "stack", "zeros",
     "BiLSTM", "CharCNN", "Embedding", "Linear", "LSTMCell", "dropout", "glorot", "prefixed",
     "Adam", "clip_global_norm", "GradCheckReport", "gradient_check",

@@ -85,9 +85,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self) -> None:
         if self.data.size != 1:
             raise InputError(f"backward() needs a scalar loss, got shape {self.data.shape}")
@@ -349,8 +346,8 @@ def logsumexp(t: Tensor, axis: int | None = None) -> Tensor:
 
 
 # -- numpy forms ------------------------------------------------------------
-# The tape-free inference path calls these directly; Tensor.sigmoid, softmax
-# and log_softmax call them too, so both paths compute the same floats.
+# The tape-free inference path calls these directly; Tensor.sigmoid and
+# log_softmax call them too, so both paths compute the same floats.
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -376,18 +373,6 @@ def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     m = np.max(x, axis=axis, keepdims=True)
     shifted = x - m
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-
-
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along `axis`; rejects non-finite logits."""
-    s = softmax_np(t.data, axis)
-    out = _result(s, (t,))
-    if out.requires_grad:
-        def bw(g, a=t, s=s, axis=axis):
-            dot = (g * s).sum(axis=axis, keepdims=True)
-            a._accumulate(s * (g - dot))
-        out._backward = bw
-    return out
 
 
 def log_softmax(t: Tensor, axis: int = -1) -> Tensor:

@@ -214,9 +214,56 @@ class Truecaser:
 
 @dataclass
 class TrainStats:
-    skipped_empty: int = 0
-    truncated: int = 0
+    skipped_empty: int = 0   # train_truecaser only
+    truncated: int = 0       # train_truecaser only
     epoch_log: list = field(default_factory=list)
+    best_dev_f1: float | None = None  # percent; set when early stopping ran
+    stopped_epoch: int | None = None
+
+
+def fit(items: list, named_params: list, loss_fn, cfg: RunConfig,
+        rng: np.random.Generator, stats: TrainStats, log=None, evaluate=None):
+    """The one training loop: cfg.epochs passes over items in rng order, one
+    clipped Adam step per item on loss_fn(item, rng).
+
+    After each epoch evaluate(), when given, returns (fields, suffix, score):
+    fields join the epoch's {"epoch", "train_loss"} entry, suffix ends its
+    log line, and score (higher is better, or None) drives early stopping.
+    With cfg.patience > 0 training stops after cfg.patience epochs without a
+    better score, and the parameters get back their values from the best
+    epoch, whose score is returned; otherwise None is returned."""
+    if not items:
+        raise ConfigError("no training sentences")
+    opt = Adam([p for _, p in named_params], lr=cfg.lr)
+    best, best_state, bad_epochs = None, None, 0
+    for epoch in range(1, cfg.epochs + 1):
+        total = 0.0
+        for idx in rng.permutation(len(items)):
+            loss = loss_fn(items[idx], rng)
+            total += loss.item()
+            loss.backward()
+            clip_global_norm(opt.params, cfg.clip_norm)
+            opt.step()
+        entry = {"epoch": epoch, "train_loss": total / len(items)}
+        fields, suffix, score = evaluate() if evaluate is not None else ({}, "", None)
+        entry.update(fields)
+        stats.epoch_log.append(entry)
+        if log is not None:
+            log(f"epoch {epoch}: train_loss={entry['train_loss']:.4f}{suffix}")
+        if score is None or cfg.patience == 0:
+            continue
+        if best is None or score > best:
+            best, bad_epochs = score, 0
+            best_state = [p.data.copy() for p in opt.params]
+        else:
+            bad_epochs += 1
+            if bad_epochs >= cfg.patience:
+                stats.stopped_epoch = epoch
+                break
+    if best_state is not None:
+        for p, data in zip(opt.params, best_state):
+            p.data[...] = data
+    return best
 
 
 def train_truecaser(sentences: list[str], cfg: RunConfig,
@@ -228,8 +275,6 @@ def train_truecaser(sentences: list[str], cfg: RunConfig,
     vocabulary are made; stats counts both."""
     cfg.validate()
     sentences = list(sentences)
-    if not sentences:
-        raise ConfigError("empty training corpus")
     stats = stats if stats is not None else TrainStats()
     rng = np.random.default_rng(cfg.seed)
 
@@ -237,8 +282,6 @@ def train_truecaser(sentences: list[str], cfg: RunConfig,
     n_dev = int(len(sentences) * cfg.dev_fraction)
     dev = [sentences[i] for i in order[:n_dev]]
     train = [sentences[i] for i in order[n_dev:]]
-    if not train:
-        raise ConfigError("no training sentences left after the held-out split")
 
     vocab = CharVocab.build(train, min_freq=cfg.min_char_freq)
     model = Truecaser(vocab, cfg.char_emb_dim, cfg.tc_hidden_dim, cfg.dropout,
@@ -246,25 +289,14 @@ def train_truecaser(sentences: list[str], cfg: RunConfig,
     kept = [sent[:cfg.max_sentence_chars] for sent in train if sent]
     stats.skipped_empty += len(train) - len(kept)
     stats.truncated += sum(len(sent) > cfg.max_sentence_chars for sent in train)
-    train = kept
-    params = model.named_params()
-    opt = Adam([p for _, p in params], lr=cfg.lr)
 
-    for epoch in range(cfg.epochs):
-        perm = rng.permutation(len(train))
-        total = 0.0
-        for idx in perm:
-            loss = model.training_loss(train[idx], cfg.pass_through_prob, rng)
-            total += loss.item()
-            loss.backward()
-            clip_global_norm(opt.params, cfg.clip_norm)
-            opt.step()
-        entry = {"epoch": epoch + 1, "train_loss": total / max(len(train), 1),
-                 "dev_loss": held_out_loss(model, dev)}
-        stats.epoch_log.append(entry)
-        if log is not None:
-            log(f"epoch {entry['epoch']}: train_loss={entry['train_loss']:.4f} "
-                f"dev_loss={entry['dev_loss']:.4f}")
+    def evaluate():
+        dev_loss = held_out_loss(model, dev)
+        return {"dev_loss": dev_loss}, f" dev_loss={dev_loss:.4f}", None
+
+    fit(kept, model.named_params(),
+        lambda sent, rng: model.training_loss(sent, cfg.pass_through_prob, rng),
+        cfg, rng, stats, log, evaluate)
     return model
 
 

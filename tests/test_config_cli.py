@@ -106,6 +106,38 @@ def test_regime_without_predicted_mode_is_a_config_error(tmp_path, capsys):
     assert "i/o error" not in err
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("train-truecaser", "--dev-fraction", "-0.5"),
+    ("train-truecaser", "--dev-fraction", "1"),
+    ("train-truecaser", "--clip-norm", "-1"),
+    ("train-truecaser", "--clip-norm", "0"),
+    ("train-truecaser", "--lr", "-0.01"),
+    ("train-truecaser", "--lr", "nan"),
+    ("train-truecaser", "--epochs", "-2"),
+    ("train-truecaser", "--epochs", "0"),
+    ("train-truecaser", "--max-sentence-chars", "0"),
+    ("prep-corpus", "--caps-threshold", "-0.1"),
+    ("prep-corpus", "--caps-threshold", "1.5"),
+    ("train-ner", "--patience", "-1"),
+    ("train-ner", "--aux-weight", "-1"),
+])
+def test_out_of_range_number_is_a_config_error(tmp_path, capsys, command, flag, value):
+    corpus, stats, conll = tmp_path / "c.txt", tmp_path / "s.tsv", tmp_path / "t.conll"
+    corpus.write_text("\n".join(truecaser_corpus(10, 0, seed=5)[0]) + "\n", encoding="utf-8")
+    assert main(["prep-stats", "--input", str(corpus), "--output", str(stats)]) == 0
+    write_conll(ner_dataset(4, 1, seed=6)[0], str(conll))
+    inputs = {"train-truecaser": ["--input", str(corpus), *TINY_TC_FLAGS],
+              "prep-corpus": ["--input", str(corpus), "--stats", str(stats)],
+              "train-ner": ["--train", str(conll), *TINY_NER_FLAGS]}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, *inputs[command], "--output", str(out), flag, value]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("casetag: error: "), err
+    assert flag[2:].replace("-", "_") in err[0]
+    assert not out.exists()
+
+
 # -- individual commands --------------------------------------------------------------
 
 def test_eval_truecaser_identical_files(tmp_path, capsys):

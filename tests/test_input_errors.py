@@ -153,6 +153,25 @@ def test_embedding_file_not_utf8(tmp_path, files, capsys):
                    str(path), "line 2", "UTF-8")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+def test_embedding_value_not_finite(tmp_path, files, capsys, value):
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"alan 1 2 3 4\nthe {value} 0 0 0\n", encoding="utf-8")
+    one_line_error(capsys, ["train-ner", "--train", str(files["conll"]), "--embeddings",
+                            str(path), "--word-emb-dim", "4", "--epochs", "1",
+                            "--output", str(tmp_path / "ner.ctr")],
+                   str(path), "line 2", "non-finite")
+
+
+def test_truecaser_corpus_of_blank_lines(tmp_path, capsys):
+    corpus = tmp_path / "blank.txt"
+    corpus.write_text("\n" * 12, encoding="utf-8")
+    one_line_error(capsys, ["train-truecaser", "--input", str(corpus), "--epochs", "1",
+                            "--output", str(tmp_path / "tc.ctr")],
+                   "no training sentences")
+    assert [p.name for p in tmp_path.iterdir()] == ["blank.txt"]
+
+
 def test_config_file_not_utf8(tmp_path, files, capsys):
     path = tmp_path / "run.cfg"
     path.write_bytes(b"epochs=2\nseed=\xff\n")

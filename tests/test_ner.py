@@ -283,8 +283,8 @@ def test_train_loss_decreases_monotonically_ten_sentences():
     ]
     assert len(data) == 10
     model = tiny_model(data, seed=4)
-    from casetag.ner import NerTrainStats
-    stats = NerTrainStats()
+    from casetag.truecaser import TrainStats
+    stats = TrainStats()
     train_ner(data, quick_cfg(model, epochs=5, lr=0.001, patience=0), stats=stats)
     losses = [e["train_loss"] for e in stats.epoch_log]
     assert all(b < a for a, b in zip(losses, losses[1:])), losses
@@ -333,13 +333,33 @@ def test_gold_mode_accepts_lowercased_dataset_with_source():
 
 
 def test_early_stopping_restores_best(monkeypatch):
+    """Scripted dev F1 0.5, 0.7, 0.6, 0.6 with patience 1: training stops
+    after epoch 3 and keeps the parameters evaluated at epoch 2, the
+    truecaser's included in the finetuned regime."""
+    from types import SimpleNamespace
+    from casetag.truecaser import TrainStats
     data = tiny_dataset()
-    model = tiny_model(data, seed=8)
-    from casetag.ner import NerTrainStats
-    stats = NerTrainStats()
-    train_ner(data, quick_cfg(model, epochs=6, patience=1),
-              dev=data[:2], stats=stats)
-    assert stats.best_dev_f1 is not None
+    for mode, regime in ((MODE_NONE, REGIME_FIXED), (MODE_PREDICTED, REGIME_FINETUNED)):
+        tc = tiny_truecaser(data, seed=8) if mode == MODE_PREDICTED else None
+        model = tiny_model(data, mode=mode, truecaser=tc, seed=8)
+        params = model.named_params() + (tc.named_params() if tc is not None else [])
+        scripted, snapshots = iter([0.5, 0.7, 0.6, 0.6]), []
+
+        def fake_evaluate(model, dev, case_cache=None):
+            snapshots.append({n: p.data.copy() for n, p in params})
+            return SimpleNamespace(f1=next(scripted))
+
+        monkeypatch.setattr(ner_module, "evaluate_ner", fake_evaluate)
+        stats, lines = TrainStats(), []
+        train_ner(data, quick_cfg(model, epochs=6, patience=1, regime=regime),
+                  dev=data[:2], log=lines.append, stats=stats)
+        assert stats.stopped_epoch == 3
+        assert stats.best_dev_f1 == 70.0
+        assert len(snapshots) == 3
+        assert [line.split(":")[0] for line in lines] == ["epoch 1", "epoch 2", "epoch 3"]
+        for name, p in params:
+            assert np.array_equal(p.data, snapshots[1][name]), (regime, name)
+        assert any(not np.array_equal(p.data, snapshots[2][n]) for n, p in params)
 
 
 def test_train_deterministic_same_seed():
