@@ -252,6 +252,8 @@ def cmd_train_ner(cfg: RunConfig) -> int:
     _require(cfg, "train", "output")
     dataset = read_conll(cfg.train)
     dev = read_conll(cfg.dev) if cfg.dev else None
+    if dev == []:
+        raise ConfigError(f"--dev {cfg.dev} holds no sentences")
     if cfg.scenario == "uncased":
         dataset = lowercase_dataset(dataset)
         dev = lowercase_dataset(dev) if dev else None

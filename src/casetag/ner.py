@@ -22,11 +22,18 @@ The auxiliary loss is the truecaser's own training step
 (Truecaser.training_loss) on the sentence's original casing, so the finetuned
 and scratch regimes run the truecaser twice per training sentence: once in
 training mode for that loss and once in evaluation mode for the case vectors.
+
+NerModel.emissions is the tagger's one forward: training records it on the
+tape, and evaluation and tagging run it under no_grad.  It builds a handful
+of nodes per sentence: the character rows of the space-joined sentence, the
+char CNN over every token at once, the word vectors, the BiLSTM and the
+output layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -54,11 +61,12 @@ from casetag.nn import (
     clip_global_norm,  # not called here: casebench's tracer wraps it under this module
     concat,
     dropout,
+    no_grad,
     prefixed,
     restore_params,
-    stack,
     store_params,
 )
+from casetag.nn.tensor import _result
 from casetag.truecaser import (
     CharVocab,
     LOWER,
@@ -119,13 +127,27 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.vectors.data.shape[1]
 
-    def lookup(self, word: str) -> Tensor:
-        i = self.index.get(word.lower())
-        return self.unk if i is None else self.vectors[i]
-
-    def infer(self, word: str) -> np.ndarray:
-        i = self.index.get(word.lower())
-        return self.unk.data if i is None else self.vectors.data[i]
+    def __call__(self, words: list[str]) -> Tensor:
+        """(len(words), dim) rows as one tape node: each word's vector, looked
+        up lowercased, or the fallback vector.  A table that no word reads is
+        not a parent of the node, so its gradient stays None, not zero."""
+        ids = np.array([self.index.get(w.lower(), -1) for w in words], dtype=np.intp)
+        known = ids >= 0
+        any_known, any_unknown = bool(known.any()), not known.all()
+        rows = np.empty((len(ids), self.dim), dtype=np.float64)
+        rows[known] = self.vectors.data[ids[known]]
+        rows[~known] = self.unk.data
+        out = _result(rows, [self.vectors] * any_known + [self.unk] * any_unknown)
+        if out.requires_grad:
+            def bw(g):
+                if any_known and self.vectors.requires_grad:
+                    if self.vectors.grad is None:
+                        self.vectors.grad = np.zeros_like(self.vectors.data)
+                    np.add.at(self.vectors.grad, ids[known], g[known])
+                if any_unknown and self.unk.requires_grad:
+                    self.unk._accumulate(g[~known].sum(axis=0))
+            out._backward = bw
+        return out
 
     @classmethod
     def random(cls, words: list[str], dim: int, rng: np.random.Generator) -> "EmbeddingTable":
@@ -208,66 +230,46 @@ class NerModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _case_rows(self, token: str, cased_token: str,
-                  dists: np.ndarray | None) -> np.ndarray | None:
-        """The two case columns appended to the token's character embeddings,
-        or None in mode none."""
+    def _case_rows(self, example: NerExample, case_cache: dict | None) -> np.ndarray | None:
+        """The two case columns appended to the character rows of the
+        space-joined sentence, or None in mode none; case_cache is passed to
+        case_distributions_for_tokens."""
         if self.case_mode == MODE_PREDICTED:
-            if dists is None or len(dists) != len(token):
-                got = "none" if dists is None else str(len(dists))
+            rows = case_distributions_for_tokens(self.truecaser, example.tokens, case_cache)
+            text = " ".join(example.tokens)
+            if len(rows) != len(text):
                 raise AlignmentError(
-                    f"token {token!r} needs {len(token)} case distributions, got {got}")
-            return np.asarray(dists, dtype=np.float64)
+                    f"sentence {text!r} needs {len(text)} case distributions, got {len(rows)}")
+            return rows
         if self.case_mode == MODE_GOLD:
-            if len(cased_token) != len(token):
-                raise AlignmentError(
-                    f"cased form {cased_token!r} does not align with token {token!r}")
-            return gold_case_vectors(cased_token)
+            cased = example.source_tokens()
+            for token, cased_token in zip_longest(example.tokens, cased, fillvalue=""):
+                if len(cased_token) != len(token):
+                    raise AlignmentError(
+                        f"cased form {cased_token!r} does not align with token {token!r}")
+            return gold_case_vectors(" ".join(cased))
         return None
-
-    def token_repr(self, token: str, cased_token: str,
-                   dists: np.ndarray | None = None,
-                   train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
-        """Word vector concatenated with the char-CNN encoding of the token."""
-        word_vec = self.word_table.lookup(token)
-        char_mat = self.char_emb(self.char_vocab.encode(token))
-        rows = self._case_rows(token, cased_token, dists)
-        if rows is not None:
-            char_mat = concat([char_mat, Tensor(rows)], axis=1)
-        x = concat([word_vec, self.cnn(char_mat)], axis=0)
-        return dropout(x, self.cfg.dropout, rng, train)
-
-    def _token_dists(self, example: NerExample, case_cache: dict | None) -> list:
-        """One case-distribution block (or None) per token of a non-empty
-        sentence; case_cache is passed to case_distributions_for_tokens."""
-        if not example.tokens:
-            raise InputError("empty sentence")
-        if self.case_mode == MODE_PREDICTED:
-            return case_distributions_for_tokens(self.truecaser, example.tokens, case_cache)
-        return [None] * len(example.tokens)
 
     def emissions(self, example: NerExample, train: bool = False,
                   rng: np.random.Generator | None = None,
                   case_cache: dict | None = None) -> Tensor:
-        reps = [self.token_repr(tok, cased, dists, train, rng) for tok, cased, dists
-                in zip(example.tokens, example.source_tokens(),
-                       self._token_dists(example, case_cache))]
-        hidden = self.lstm(stack(reps, axis=0))
+        """(L, tags) scores of a sentence of L tokens.  Each token's input to
+        the BiLSTM is its word vector beside the char-CNN encoding of its
+        characters, built for the whole sentence at once."""
+        if not example.tokens:
+            raise InputError("empty sentence")
+        chars = self.char_emb(self.char_vocab.encode(" ".join(example.tokens)))
+        rows = self._case_rows(example, case_cache)
+        if rows is not None:
+            chars = concat([chars, Tensor(rows)], axis=1)
+        spans, start = [], 0
+        for token in example.tokens:
+            spans.append((start, start + len(token)))
+            start += len(token) + 1  # skip the joining space
+        x = concat([self.word_table(example.tokens), self.cnn(chars, spans)], axis=1)
+        hidden = self.lstm(dropout(x, self.cfg.dropout, rng, train))
         hidden = dropout(hidden, self.cfg.dropout, rng, train)
         return self.emit(hidden)
-
-    def infer_emissions(self, example: NerExample, case_cache: dict | None = None) -> np.ndarray:
-        """emissions() in evaluation mode, on the tape-free path: the same
-        floats."""
-        reps = []
-        for tok, cased, dists in zip(example.tokens, example.source_tokens(),
-                                     self._token_dists(example, case_cache)):
-            char_mat = self.char_emb.infer(self.char_vocab.encode(tok))
-            rows = self._case_rows(tok, cased, dists)
-            if rows is not None:
-                char_mat = np.concatenate([char_mat, rows], axis=1)
-            reps.append(np.concatenate([self.word_table.infer(tok), self.cnn.infer(char_mat)]))
-        return self.emit.infer(self.lstm.infer(np.stack(reps)))
 
     def tag_ids(self, tags: list[str]) -> np.ndarray:
         try:
@@ -318,7 +320,8 @@ class NerModel:
 def predict_tags(model: NerModel, example: NerExample,
                  case_cache: dict | None = None) -> list[str]:
     """Viterbi tags; case_cache is passed to case_distributions_for_tokens."""
-    em = model.infer_emissions(example, case_cache)
+    with no_grad():
+        em = model.emissions(example, case_cache=case_cache).data
     return [model.tagset[i] for i in viterbi_decode(em, model.crf)]
 
 

@@ -1,11 +1,9 @@
 from casetag.nn.tensor import (
     DTYPE,
     Tensor,
-    as_tensor,
     concat,
     cross_entropy,
     log_softmax,
-    log_softmax_np,
     logsumexp,
     no_grad,
     sigmoid_np,
@@ -19,9 +17,8 @@ from casetag.nn.gradcheck import GradCheckReport, gradient_check
 from casetag.nn.serialize import Container, restore_params, store_params
 
 __all__ = [
-    "DTYPE", "Tensor", "as_tensor", "concat", "cross_entropy", "log_softmax",
-    "log_softmax_np", "logsumexp", "no_grad", "sigmoid_np", "softmax_np",
-    "stack", "zeros",
+    "DTYPE", "Tensor", "concat", "cross_entropy", "log_softmax", "logsumexp", "no_grad",
+    "sigmoid_np", "softmax_np", "stack", "zeros",
     "BiLSTM", "CharCNN", "Embedding", "Linear", "LSTMCell", "dropout", "glorot", "prefixed",
     "Adam", "clip_global_norm", "GradCheckReport", "gradient_check",
     "Container", "restore_params", "store_params",

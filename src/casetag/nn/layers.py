@@ -4,9 +4,9 @@ Initialization: uniform ±sqrt(6/(fan_in+fan_out)) for matrices, zeros for
 biases, forget-gate bias 1.0.  Every layer exposes named_params() with
 stable identifiers used by the serialization container.
 
-Each layer's infer() is its evaluation-mode forward on plain numpy arrays:
-it records no tape and builds no Tensor, and runs the same float operations
-in the same order as the Tensor forward, so the outputs are bit-identical.
+Each layer has one forward, which training and inference share: inference
+runs it under no_grad, where it records no tape.  LSTMCell.run and CharCNN
+are one tape node each, with hand-written backward passes.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from casetag.errors import ConfigError, InputError
-from casetag.nn.tensor import DTYPE, Tensor, _result, concat, sigmoid_np, zeros
+from casetag.nn.tensor import DTYPE, Tensor, _records, _result, concat, sigmoid_np, zeros
 
 
 def glorot(shape: tuple[int, int], rng: np.random.Generator) -> Tensor:
@@ -31,19 +31,12 @@ class Linear:
         self.W = glorot((out_dim, in_dim), rng)
         self.b = zeros((out_dim,), requires_grad=True)
 
-    def _check(self, shape: tuple) -> None:
-        if shape[-1] != self.in_dim:
+    def __call__(self, x: Tensor) -> Tensor:
+        if x.shape[-1] != self.in_dim:
             raise ConfigError(
                 f"linear layer expects inner dimension {self.in_dim}, "
-                f"got input shape {shape} against weight shape {self.W.shape}")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        self._check(x.shape)
+                f"got input shape {x.shape} against weight shape {self.W.shape}")
         return x @ self.W.T + self.b
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        self._check(x.shape)
-        return x @ self.W.data.T + self.b.data
 
     def named_params(self):
         return [("W", self.W), ("b", self.b)]
@@ -57,9 +50,6 @@ class Embedding:
 
     def __call__(self, ids) -> Tensor:
         return self.table[np.asarray(ids, dtype=np.intp)]
-
-    def infer(self, ids) -> np.ndarray:
-        return self.table.data[np.asarray(ids, dtype=np.intp)]
 
     def named_params(self):
         return [("table", self.table)]
@@ -95,8 +85,7 @@ class LSTMCell:
         the loop; returns the (L, H) states.  Given a list, appends to it, for
         each step in the order it ran, what the backward pass reads: the
         sigmoid of all 4H gate pre-activations (the candidate block's is
-        unused), the candidate tanh, the cell state and its tanh.  Inference
-        keeps none of them."""
+        unused), the candidate tanh, the cell state and its tanh."""
         H = self.hidden_dim
         L = xs.shape[0]
         pre = xs @ self.W_ih.data.T + self.b.data
@@ -124,10 +113,12 @@ class LSTMCell:
         floats, in the same order, as a tape of one node per operation: the
         hoisted projections `pre = xs @ W_ih.T + b`, then at each step
         `pre[t] + W_hh @ h` and step()'s gate operations.  So training is
-        bit-identical to that tape."""
-        saved = []
+        bit-identical to that tape.  Per-step activations are kept only when
+        the node records a backward."""
+        parents = (xs, self.W_ih, self.W_hh, self.b)
+        saved = [] if _records(parents) else None
         out = self._scan(xs.data, reverse, saved)
-        node = _result(out, (xs, self.W_ih, self.W_hh, self.b))
+        node = _result(out, parents)
         if node.requires_grad:
             W_ih, W_hh = self.W_ih.data, self.W_hh.data
 
@@ -185,10 +176,6 @@ class LSTMCell:
                 dc_next = dc * S[k, H:2 * H]
         return dpre
 
-    def infer(self, xs: np.ndarray, reverse: bool = False) -> np.ndarray:
-        """run() without the tape."""
-        return self._scan(xs, reverse)
-
     def named_params(self):
         return [("W_ih", self.W_ih), ("W_hh", self.W_hh), ("b", self.b)]
 
@@ -206,11 +193,6 @@ class BiLSTM:
             raise InputError("BiLSTM over an empty sequence")
         return concat([self.fwd.run(xs), self.bwd.run(xs, reverse=True)], axis=1)
 
-    def infer(self, xs: np.ndarray) -> np.ndarray:
-        if xs.shape[0] == 0:
-            raise InputError("BiLSTM over an empty sequence")
-        return np.concatenate([self.fwd.infer(xs), self.bwd.infer(xs, reverse=True)], axis=1)
-
     def named_params(self):
         out = [("fwd." + n, p) for n, p in self.fwd.named_params()]
         out += [("bwd." + n, p) for n, p in self.bwd.named_params()]
@@ -218,7 +200,8 @@ class BiLSTM:
 
 
 class CharCNN:
-    """Width-w convolution over a (n, in_dim) character matrix, tanh, max over positions."""
+    """Width-w convolution over each token's characters, tanh, and a max over
+    the token's positions: one (filters,) encoding per token."""
 
     def __init__(self, in_dim: int, filters: int, width: int, rng: np.random.Generator):
         if width < 1:
@@ -229,36 +212,51 @@ class CharCNN:
         self.W = glorot((filters, width * in_dim), rng)
         self.b = zeros((filters,), requires_grad=True)
 
-    def _check(self, shape: tuple) -> None:
-        if shape[0] == 0:
+    def __call__(self, chars: Tensor, spans) -> Tensor:
+        """(L, filters) encodings of the L tokens whose rows of the (n, in_dim)
+        sentence matrix chars are spans[k] = (start, end), as one tape node.
+
+        Each token's windows read only its own rows, zero-padded at its edges
+        as if it stood alone, so rows between tokens (the joining spaces)
+        never enter a window.  The gradient of each maximum goes to its first
+        maximal position, as Tensor.max routes it."""
+        d = chars.shape[1]
+        if d != self.in_dim:
+            raise ConfigError(f"char CNN expects vectors of dim {self.in_dim}, got {d}")
+        starts, ends = np.asarray(spans, dtype=np.intp).reshape(-1, 2).T
+        lengths = ends - starts
+        if not len(lengths) or lengths.min() < 1:
             raise InputError("char CNN over an empty character sequence")
-        if shape[1] != self.in_dim:
-            raise ConfigError(
-                f"char CNN expects vectors of dim {self.in_dim}, got {shape[1]}")
-
-    def __call__(self, chars: Tensor) -> Tensor:
-        self._check(chars.shape)
-        n = chars.shape[0]
-        left = (self.width - 1) // 2
-        right = self.width - 1 - left
-        parts = []
-        if left:
-            parts.append(zeros((left, self.in_dim)))
-        parts.append(chars)
-        if right:
-            parts.append(zeros((right, self.in_dim)))
-        padded = concat(parts, axis=0) if len(parts) > 1 else chars
-        windows = concat([padded[i:i + n] for i in range(self.width)], axis=1)  # (n, w*in_dim)
-        acts = (windows @ self.W.T + self.b).tanh()  # (n, filters)
-        return acts.max(axis=0)
-
-    def infer(self, chars: np.ndarray) -> np.ndarray:
-        self._check(chars.shape)
-        n = chars.shape[0]
-        left = (self.width - 1) // 2
-        padded = np.pad(chars, ((left, self.width - 1 - left), (0, 0)))
-        windows = np.concatenate([padded[i:i + n] for i in range(self.width)], axis=1)
-        return np.tanh(windows @ self.W.data.T + self.b.data).max(axis=0)
+        # the P positions of all tokens, token by token; token k's start at firsts[k]
+        P = int(lengths.sum())
+        firsts = np.cumsum(lengths) - lengths
+        pos = np.arange(P) + np.repeat(starts - firsts, lengths)
+        lo, hi = np.repeat(starts, lengths)[:, None], np.repeat(ends, lengths)[:, None]
+        # the row of `padded` that each position's window slot reads; row 0 is zeros
+        src = pos[:, None] + np.arange(self.width) - (self.width - 1) // 2
+        src = np.where((src >= lo) & (src < hi), src + 1, 0)
+        padded = np.concatenate([np.zeros((1, d), dtype=DTYPE), chars.data])
+        windows = padded[src].reshape(P, self.width * d)
+        W = self.W.data
+        acts = np.tanh(windows @ W.T + self.b.data)  # (P, filters)
+        node = _result(np.maximum.reduceat(acts, firsts, axis=0), (chars, self.W, self.b))
+        if node.requires_grad:
+            def bw(g):
+                dz = np.zeros_like(acts)
+                cols = np.arange(self.filters)
+                for first, length, gk in zip(firsts, lengths, g):
+                    dz[first + np.argmax(acts[first:first + length], axis=0), cols] = gk
+                dz *= 1.0 - acts * acts
+                if self.W.requires_grad:
+                    self.W._accumulate((windows.T @ dz).T)
+                if self.b.requires_grad:
+                    self.b._accumulate(dz.sum(axis=0))
+                if chars.requires_grad:
+                    dpadded = np.zeros_like(padded)
+                    np.add.at(dpadded, src, (dz @ W).reshape(P, self.width, d))
+                    chars._accumulate(dpadded[1:])
+            node._backward = bw
+        return node
 
     def named_params(self):
         return [("W", self.W), ("b", self.b)]

@@ -111,8 +111,6 @@ class Tensor:
             out._backward = bw
         return out
 
-    __radd__ = __add__
-
     def __neg__(self):
         out = _result(-self.data, (self,))
         if out.requires_grad:
@@ -123,9 +121,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
-
-    def __rsub__(self, other):
-        return as_tensor(other) + (-self)
 
     def __mul__(self, other):
         other = as_tensor(other)
@@ -138,13 +133,6 @@ class Tensor:
                     b._accumulate(_unbroadcast(g * a.data, b.data.shape))
             out._backward = bw
         return out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        if isinstance(scalar, Tensor):
-            raise InputError("division is supported by scalars only")
-        return self * (1.0 / float(scalar))
 
     def __matmul__(self, other):
         other = as_tensor(other)
@@ -260,9 +248,14 @@ def _is_basic_index(idx) -> bool:
     return all(isinstance(p, (int, slice)) and not isinstance(p, bool) for p in parts)
 
 
+def _records(parents: Sequence[Tensor]) -> bool:
+    """True when a node over these parents records a backward."""
+    return _GradMode.enabled and any(p.requires_grad for p in parents)
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
     out = Tensor(data)
-    if _GradMode.enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
     return out
@@ -346,8 +339,8 @@ def logsumexp(t: Tensor, axis: int | None = None) -> Tensor:
 
 
 # -- numpy forms ------------------------------------------------------------
-# The tape-free inference path calls these directly; Tensor.sigmoid and
-# log_softmax call them too, so both paths compute the same floats.
+# The fused nodes (LSTMCell.run) and the truecaser's distributions call these
+# on arrays; Tensor.sigmoid and log_softmax call them too.
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:

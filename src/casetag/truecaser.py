@@ -26,7 +26,7 @@ from casetag.nn import (
     clip_global_norm,
     cross_entropy,
     dropout,
-    log_softmax_np,
+    no_grad,
     prefixed,
     restore_params,
     softmax_np,
@@ -163,15 +163,11 @@ class Truecaser:
         hidden = dropout(hidden, self.dropout_rate, rng, train)
         return self.out(hidden)
 
-    def infer_logits(self, text: str) -> np.ndarray:
-        """logits() in evaluation mode, on the tape-free path: the same floats."""
-        if not text:
-            raise InputError("truecaser forward over an empty string")
-        return self.out.infer(self.rnn.infer(self.emb.infer(self.vocab.encode(text))))
-
     def distributions(self, text: str) -> np.ndarray:
-        """(n, 2) rows (p_upper, p_lower); no gradients, evaluation mode."""
-        return softmax_np(self.infer_logits(text), axis=-1)
+        """(n, 2) rows (p_upper, p_lower): logits() in evaluation mode, under
+        no_grad."""
+        with no_grad():
+            return softmax_np(self.logits(text).data, axis=-1)
 
     def training_loss(self, sentence: str, pass_through_prob: float,
                       rng: np.random.Generator) -> Tensor:
@@ -270,9 +266,9 @@ def train_truecaser(sentences: list[str], cfg: RunConfig,
                     log=None, stats: TrainStats | None = None) -> Truecaser:
     """Per-character cross-entropy training; deterministic given cfg.seed.
 
-    Empty training sentences are dropped and longer ones truncated to
-    cfg.max_sentence_chars, once, after the held-out split and the
-    vocabulary are made; stats counts both."""
+    Training sentences that are empty or hold only whitespace are dropped,
+    and longer ones truncated to cfg.max_sentence_chars, once, after the
+    held-out split and the vocabulary are made; stats counts both."""
     cfg.validate()
     sentences = list(sentences)
     stats = stats if stats is not None else TrainStats()
@@ -286,9 +282,10 @@ def train_truecaser(sentences: list[str], cfg: RunConfig,
     vocab = CharVocab.build(train, min_freq=cfg.min_char_freq)
     model = Truecaser(vocab, cfg.char_emb_dim, cfg.tc_hidden_dim, cfg.dropout,
                       seed=int(rng.integers(2 ** 31)))
-    kept = [sent[:cfg.max_sentence_chars] for sent in train if sent]
+    kept = [sent for sent in train if sent.strip()]
     stats.skipped_empty += len(train) - len(kept)
-    stats.truncated += sum(len(sent) > cfg.max_sentence_chars for sent in train)
+    stats.truncated += sum(len(sent) > cfg.max_sentence_chars for sent in kept)
+    kept = [sent[:cfg.max_sentence_chars] for sent in kept]
 
     def evaluate():
         dev_loss = held_out_loss(model, dev)
@@ -305,16 +302,13 @@ def held_out_loss(model: Truecaser, sentences: list[str]) -> float:
     if not sentences:
         return 0.0
     total, count = 0.0, 0
-    for sent in sentences:
-        if not sent:
-            continue
-        lowered, _ = lowercase_keep_length(sent)
-        # cross_entropy's value, op for op, without the tape
-        picked = log_softmax_np(model.infer_logits(lowered))[np.arange(len(sent)),
-                                                             case_labels(sent)]
-        loss = -(picked.sum() * (1.0 / len(sent)))
-        total += float(loss) * len(sent)
-        count += len(sent)
+    with no_grad():
+        for sent in sentences:
+            if not sent:
+                continue
+            lowered, _ = lowercase_keep_length(sent)
+            total += cross_entropy(model.logits(lowered), case_labels(sent)).item() * len(sent)
+            count += len(sent)
     return total / max(count, 1)
 
 
@@ -330,39 +324,23 @@ def apply_truecaser(model: Truecaser, text: str) -> str:
     return "".join(out)
 
 
-def split_distributions(dist: np.ndarray, tokens: list[str]) -> list[np.ndarray]:
-    """Split per-character rows over space-joined tokens into one block per
-    token, dropping the rows at the joining spaces."""
-    expected = sum(len(t) for t in tokens) + max(len(tokens) - 1, 0)
-    if len(dist) != expected:
-        raise InputError(
-            f"{len(dist)} distributions cannot cover {len(tokens)} tokens "
-            f"joined by spaces (need {expected})")
-    out = []
-    offset = 0
-    for tok in tokens:
-        out.append(dist[offset:offset + len(tok)])
-        offset += len(tok) + 1  # skip the joining space
-    return out
-
-
 def case_distributions_for_tokens(model: Truecaser, tokens: list[str],
-                                  cache: dict | None = None) -> list[np.ndarray]:
-    """Run the truecaser over the space-joined, lowercased token sequence and
-    return one (len(token), 2) distribution block per token.
+                                  cache: dict | None = None) -> np.ndarray:
+    """The truecaser's (n, 2) distribution rows over the space-joined,
+    lowercased token sequence of n characters, the joining spaces' rows
+    included.
 
     cache, when given, maps the joined text to the truecaser's output and is
     filled as it goes; it stays valid only while the truecaser is frozen."""
     if not tokens:
-        return []
+        return np.zeros((0, 2))
     text = " ".join(lowercase_keep_length(tok)[0] for tok in tokens)
     if cache is None:
-        dist = model.distributions(text)
-    else:
-        dist = cache.get(text)
-        if dist is None:
-            dist = cache[text] = model.distributions(text)
-    return split_distributions(dist, tokens)
+        return model.distributions(text)
+    dist = cache.get(text)
+    if dist is None:
+        dist = cache[text] = model.distributions(text)
+    return dist
 
 
 def eval_truecaser(model: Truecaser, cased_sentences: list[str]) -> PrfScore:

@@ -68,13 +68,13 @@ def test_embeddings_two_words(tmp_path):
     path = _embedding_file(tmp_path, ["cat 1 2 3", "dog 4 5 6"])
     table = read_embeddings(path, dim=3)
     assert len(table.words) == 2
-    assert np.allclose(table.lookup("cat").data, [1, 2, 3])
+    assert np.allclose(table(["cat"]).data[0], [1, 2, 3])
 
 
 def test_embeddings_unseen_word_gets_unk(tmp_path):
     path = _embedding_file(tmp_path, ["cat 1 2 3", "dog 4 5 6"])
     table = read_embeddings(path, dim=3)
-    assert np.allclose(table.lookup("zebra").data, table.unk.data)
+    assert np.allclose(table(["zebra"]).data[0], table.unk.data)
 
 
 def test_embeddings_unk_is_mean(tmp_path):
@@ -87,7 +87,7 @@ def test_embeddings_unk_is_mean(tmp_path):
 def test_embeddings_duplicates_first_wins(tmp_path):
     path = _embedding_file(tmp_path, ["cat 1 2 3", "cat 9 9 9"])
     table = read_embeddings(path, dim=3)
-    assert np.allclose(table.lookup("cat").data, [1, 2, 3])
+    assert np.allclose(table(["cat"]).data[0], [1, 2, 3])
     assert table.duplicates_skipped == 1
 
 
@@ -101,7 +101,7 @@ def test_embeddings_wrong_count_reports_line(tmp_path):
 def test_embeddings_lookup_lowercases_key(tmp_path):
     path = _embedding_file(tmp_path, ["cat 1 2 3"])
     table = read_embeddings(path, dim=3)
-    assert np.allclose(table.lookup("CAT").data, [1, 2, 3])
+    assert np.allclose(table(["CAT"]).data[0], [1, 2, 3])
 
 
 def test_embeddings_cased_rows_are_reachable_and_folded_first_wins(tmp_path):
@@ -109,9 +109,9 @@ def test_embeddings_cased_rows_are_reachable_and_folded_first_wins(tmp_path):
                                       "PARIS 0 0 0"])
     table = read_embeddings(path, dim=3)
     assert table.words == ["boston", "paris"]
-    assert np.allclose(table.lookup("Boston").data, [1, 2, 3])
-    assert np.allclose(table.lookup("boston").data, [1, 2, 3])
-    assert np.allclose(table.lookup("Paris").data, [4, 5, 6])
+    assert np.allclose(table(["Boston"]).data[0], [1, 2, 3])
+    assert np.allclose(table(["boston"]).data[0], [1, 2, 3])
+    assert np.allclose(table(["Paris"]).data[0], [4, 5, 6])
     assert table.duplicates_skipped == 2
 
 

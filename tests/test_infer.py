@@ -1,5 +1,6 @@
-"""The tape-free inference path against the tape, bit for bit, and the
-frozen-truecaser cache of train_ner."""
+"""Inference, the one forward run under no_grad, against the same forward
+recording its tape, bit for bit; and the frozen-truecaser cache of
+train_ner."""
 
 import numpy as np
 import pytest
@@ -61,21 +62,23 @@ def truecaser(emb, hidden, seed=0):
 
 def test_layer_infer_matches_tape_bit_for_bit():
     rng = np.random.default_rng(0)
-    xs = rng.normal(size=(9, 7))
+    xs = Tensor(rng.normal(size=(9, 7)), requires_grad=True)
     lin = Linear(7, 5, rng)
     cell = LSTMCell(7, 6, rng)
     bi = BiLSTM(7, 6, rng)
     jitter(lin.named_params() + cell.named_params() + bi.named_params(), 1)
-    with no_grad():
-        assert np.array_equal(lin.infer(xs), lin(Tensor(xs)).data)
-        for reverse in (False, True):
-            assert np.array_equal(cell.infer(xs, reverse), cell.run(Tensor(xs), reverse).data)
-        assert np.array_equal(bi.infer(xs), bi(Tensor(xs)).data)
-        for width in (1, 2, 3, 4):
-            cnn = CharCNN(7, 5, width, rng)
-            jitter(cnn.named_params(), width)
-            for n in (1, 2, 9):
-                assert np.array_equal(cnn.infer(xs[:n]), cnn(Tensor(xs[:n])).data)
+    forwards = [lin, bi] + [lambda x, r=reverse: cell.run(x, r) for reverse in (False, True)]
+    for width in (1, 2, 3, 4):
+        cnn = CharCNN(7, 5, width, rng)
+        jitter(cnn.named_params(), width)
+        forwards += [lambda x, c=cnn, s=spans: c(x, s)
+                     for spans in ([(0, 1)], [(0, 2)], [(0, 9)], [(0, 3), (4, 5), (6, 9)])]
+    for forward in forwards:
+        recorded = forward(xs)
+        with no_grad():
+            inferred = forward(xs)
+        assert recorded.requires_grad and not inferred.requires_grad
+        assert np.array_equal(inferred.data, recorded.data)
 
 
 def old_sigmoid(x):
@@ -120,10 +123,9 @@ def test_distributions_match_tape_bit_for_bit(emb, hidden):
     tc = truecaser(emb, hidden)
     for ex in sentences():
         text = lowercase_keep_length(" ".join(ex.tokens))[0]
-        with no_grad():
-            tape = softmax_np(tc.logits(text).data, axis=-1)
-        assert np.array_equal(tc.distributions(text), tape)
-        assert np.array_equal(tc.infer_logits(text), tc.logits(text).data)
+        tape = tc.logits(text)
+        assert tape.requires_grad
+        assert np.array_equal(tc.distributions(text), softmax_np(tape.data, axis=-1))
 
 
 def test_held_out_loss_matches_tape_bit_for_bit():
@@ -162,9 +164,10 @@ def test_emissions_match_tape_bit_for_bit(mode, emb, hidden):
     data += lowercase_dataset(data[:3])
     data[0].tokens[0] = "zzyzx"
     for ex in data:
+        tape = model.emissions(ex)
+        assert tape.requires_grad
         with no_grad():
-            tape = model.emissions(ex).data
-        assert np.array_equal(model.infer_emissions(ex), tape)
+            assert np.array_equal(model.emissions(ex).data, tape.data)
 
 
 # -- case vectors in training, and the frozen-truecaser cache --------------------------
@@ -235,19 +238,16 @@ def test_finetuned_training_reads_the_evaluation_pass(monkeypatch):
     emissions, case_rows = NerModel.emissions, NerModel._case_rows
 
     def recording_emissions(self, example, *args, **kwargs):
-        text = lowered_text(example)
-        # the rows of the characters, without those of the joining spaces
-        expected.append(self.truecaser.distributions(text)[[ch != " " for ch in text]])
-        received.append([])
+        expected.append(self.truecaser.distributions(lowered_text(example)))
         return emissions(self, example, *args, **kwargs)
 
-    def recording_rows(self, token, cased_token, dists):
-        received[-1].append(dists)
-        return case_rows(self, token, cased_token, dists)
+    def recording_rows(self, example, case_cache):
+        received.append(case_rows(self, example, case_cache))
+        return received[-1]
 
     monkeypatch.setattr(NerModel, "emissions", recording_emissions)
     monkeypatch.setattr(NerModel, "_case_rows", recording_rows)
     train_ner(train, model)
-    assert len(expected) == 2 * len(train)
-    for want, blocks in zip(expected, received):
-        assert np.array_equal(np.concatenate(blocks), want)
+    assert len(expected) == len(received) == 2 * len(train)
+    for want, rows in zip(expected, received):
+        assert np.array_equal(rows, want)

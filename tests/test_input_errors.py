@@ -165,11 +165,22 @@ def test_embedding_value_not_finite(tmp_path, files, capsys, value):
 
 def test_truecaser_corpus_of_blank_lines(tmp_path, capsys):
     corpus = tmp_path / "blank.txt"
-    corpus.write_text("\n" * 12, encoding="utf-8")
-    one_line_error(capsys, ["train-truecaser", "--input", str(corpus), "--epochs", "1",
-                            "--output", str(tmp_path / "tc.ctr")],
-                   "no training sentences")
-    assert [p.name for p in tmp_path.iterdir()] == ["blank.txt"]
+    for content in ("\n" * 12, "  \n" * 3 + "\n" * 9):  # empty, then some only spaces
+        corpus.write_text(content, encoding="utf-8")
+        one_line_error(capsys, ["train-truecaser", "--input", str(corpus), "--epochs", "1",
+                                "--output", str(tmp_path / "tc.ctr")],
+                       "no training sentences")
+        assert [p.name for p in tmp_path.iterdir()] == ["blank.txt"]
+
+
+def test_empty_dev_file(tmp_path, files, capsys):
+    dev = tmp_path / "empty.conll"
+    dev.write_text("\n\n", encoding="utf-8")
+    one_line_error(capsys, ["train-ner", "--train", str(files["conll"]), "--dev", str(dev),
+                            "--word-emb-dim", "4", "--epochs", "1",
+                            "--output", str(tmp_path / "out.ctr")],
+                   str(dev), "no sentences")
+    assert not (tmp_path / "out.ctr").exists()
 
 
 def test_config_file_not_utf8(tmp_path, files, capsys):

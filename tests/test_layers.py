@@ -23,6 +23,8 @@ from casetag.nn import (
     zeros,
 )
 
+from cnn_oracle import per_token_cnn
+
 
 # -- scalar reference implementations (independent of the tensor engine) ----
 
@@ -240,6 +242,26 @@ def test_lstm_run_honours_requires_grad_and_no_grad():
     assert not out.requires_grad and out._parents == () and out._backward is None
 
 
+def test_lstm_run_keeps_activations_only_when_recording(monkeypatch):
+    cell = LSTMCell(3, 4, np.random.default_rng(6))
+    xs = Tensor(np.random.default_rng(7).normal(size=(5, 3)))
+    kept = []
+    scan = LSTMCell._scan
+
+    def recording_scan(self, xs, reverse, saved=None):
+        kept.append(saved)
+        return scan(self, xs, reverse, saved)
+
+    monkeypatch.setattr(LSTMCell, "_scan", recording_scan)
+    cell.run(xs)
+    with no_grad():
+        cell.run(xs)
+    cell.W_ih.requires_grad = cell.W_hh.requires_grad = cell.b.requires_grad = False
+    cell.run(xs)
+    assert [k is None for k in kept] == [False, True, True]
+    assert len(kept[0]) == 5
+
+
 def test_lstm_reversed_run_gradient_check():
     rng = np.random.default_rng(17)
     cell = LSTMCell(3, 2, rng)
@@ -306,25 +328,27 @@ def test_char_cnn_single_char_is_single_window():
     rng = np.random.default_rng(4)
     cnn = CharCNN(3, 5, 3, rng)
     c = rng.normal(size=(1, 3))
-    got = cnn(Tensor(c)).data
+    got = cnn(Tensor(c), [(0, 1)]).data
     want = char_cnn_ref(c.tolist(), cnn.W.data.tolist(), cnn.b.data.tolist(), 3)
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(got, [want], atol=1e-12)
 
 
 def test_char_cnn_zero_filters_zero_output():
     cnn = CharCNN(3, 4, 3, np.random.default_rng(0))
     cnn.W.data[:] = 0.0
     cnn.b.data[:] = 0.0
-    out = cnn(Tensor(np.random.default_rng(1).normal(size=(6, 3))))
-    assert np.all(out.data == 0.0)
+    out = cnn(Tensor(np.random.default_rng(1).normal(size=(6, 3))), [(0, 2), (3, 6)])
+    assert out.shape == (2, 4) and np.all(out.data == 0.0)
 
 
 def test_char_cnn_matches_scalar_oracle():
     rng = np.random.default_rng(3)
     cnn = CharCNN(4, 6, 3, rng)
-    chars = rng.normal(size=(5, 4))
-    got = cnn(Tensor(chars)).data
-    want = char_cnn_ref(chars.tolist(), cnn.W.data.tolist(), cnn.b.data.tolist(), 3)
+    chars = rng.normal(size=(9, 4))
+    spans = [(0, 5), (6, 7), (8, 9)]
+    got = cnn(Tensor(chars), spans).data
+    want = [char_cnn_ref(chars[a:b].tolist(), cnn.W.data.tolist(), cnn.b.data.tolist(), 3)
+            for a, b in spans]
     assert np.allclose(got, want, atol=1e-10, rtol=0)
 
 
@@ -333,8 +357,74 @@ def test_char_cnn_gradient_check():
     cnn = CharCNN(3, 4, 3, rng)
     chars = Tensor(rng.normal(size=(5, 3)))
     w = rng.normal(size=4)
-    report = gradient_check(lambda: (cnn(chars) * w).sum(), prefixed("cnn", cnn))
+    report = gradient_check(lambda: (cnn(chars, [(0, 5)]) * w).sum(), prefixed("cnn", cnn))
     assert report.max_error <= 1e-4
+
+
+def cnn_and_grads(forward, cnn, chars, w):
+    for _, p in cnn.named_params():
+        p.grad = None
+    chars.grad = None
+    out = forward(chars)
+    (out * Tensor(w)).sum().backward()
+    return [out.data, chars.grad, cnn.W.grad, cnn.b.grad]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_char_cnn_sentence_node_matches_per_token_tape(width):
+    """One node over a sentence of 1-8 tokens of 1-11 characters, the rows of
+    the joining spaces included, against a tape of one CNN per token."""
+    rng = np.random.default_rng(width)
+    for _ in range(12):
+        in_dim, filters = (int(k) for k in rng.integers(1, 7, size=2))
+        cnn = CharCNN(in_dim, filters, width, rng)
+        cnn.b.data += rng.normal(size=filters)
+        spans, start = [], 0
+        for length in rng.integers(1, 12, size=int(rng.integers(1, 9))):
+            spans.append((start, start + int(length)))
+            start += int(length) + 1
+        chars = Tensor(rng.normal(size=(start - 1, in_dim)), requires_grad=True)
+        w = rng.normal(size=(len(spans), filters))
+        fused = cnn_and_grads(lambda c: cnn(c, spans), cnn, chars, w)
+        oracle = cnn_and_grads(lambda c: per_token_cnn(cnn, c, spans), cnn, chars, w)
+        for name, a, b in zip(["out", "chars", "W", "b"], fused, oracle):
+            assert np.allclose(a, b, atol=1e-12, rtol=0), name
+        assert not fused[1][[start for _, start in spans[:-1]]].any()  # joining spaces
+
+
+def test_char_cnn_tied_maximum_takes_the_first_position():
+    """Repeated characters tie at the maximum; as Tensor.max does, the first
+    of them gets the gradient."""
+    rng = np.random.default_rng(23)
+    cnn = CharCNN(3, 4, 1, rng)
+    x, y = rng.normal(size=(2, 3))
+    chars = Tensor(np.array([x, x, y, y, x, x]), requires_grad=True)
+    spans = [(0, 3), (4, 6)]
+    w = rng.normal(size=(2, 4))
+    fused = cnn_and_grads(lambda c: cnn(c, spans), cnn, chars, w)
+    oracle = cnn_and_grads(lambda c: per_token_cnn(cnn, c, spans), cnn, chars, w)
+    for name, a, b in zip(["out", "chars", "W", "b"], fused, oracle):
+        assert np.allclose(a, b, atol=1e-12, rtol=0), name
+    assert not fused[1][[1, 5]].any()
+
+
+def test_char_cnn_sentence_gradient_check():
+    rng = np.random.default_rng(22)
+    cnn = CharCNN(3, 4, 3, rng)
+    chars = Tensor(rng.normal(size=(10, 3)), requires_grad=True)
+    spans = [(0, 1), (2, 6), (7, 9), (9, 10)]
+    w = Tensor(rng.normal(size=(4, 4)))
+    report = gradient_check(lambda: (cnn(chars, spans) * w).sum(),
+                            prefixed("cnn", cnn) + [("chars", chars)])
+    assert report.max_error <= 1e-4
+
+
+def test_char_cnn_rejects_an_empty_token():
+    cnn = CharCNN(3, 4, 3, np.random.default_rng(0))
+    chars = Tensor(np.ones((3, 3)))
+    for spans in ([], [(0, 3), (3, 3)]):
+        with pytest.raises(InputError):
+            cnn(chars, spans)
 
 
 # -- embedding --------------------------------------------------------------------

@@ -10,6 +10,7 @@ from casetag.config import RunConfig
 from casetag.errors import AlignmentError, ConfigError
 from casetag.metrics import Span
 from casetag.nn import Tensor, gradient_check, no_grad
+from casetag.nn.tensor import _toposort
 from casetag.ner import (
     MODE_GOLD,
     MODE_NONE,
@@ -63,18 +64,27 @@ def tiny_model(dataset, mode=MODE_NONE, truecaser=None, seed=0, **overrides):
 
 # -- representation assembly ---------------------------------------------------
 
+def bilstm_input_shape(model, example):
+    """The shape of the (L, word + filters) matrix emissions() feeds the BiLSTM."""
+    seen = []
+    lstm = model.lstm
+    model.lstm = lambda xs: seen.append(xs.shape) or lstm(xs)
+    model.emissions(example)
+    model.lstm = lstm
+    return seen[0]
+
+
 def test_none_mode_token_dim_is_word_plus_filters():
     data = tiny_dataset()
     model = tiny_model(data)
-    x = model.token_repr("Alan", "Alan")
-    assert x.shape == (TINY["word_emb_dim"] + TINY["cnn_filters"],)
+    assert bilstm_input_shape(model, data[0]) == (4, TINY["word_emb_dim"] + TINY["cnn_filters"])
 
 
 def test_full_scale_dims():
     data = tiny_dataset()
     model = tiny_model(data, word_emb_dim=100, ner_char_emb_dim=16, cnn_filters=128,
                        ner_hidden_dim=8)
-    assert model.token_repr("Alan", "Alan").shape == (228,)
+    assert bilstm_input_shape(model, data[0]) == (4, 228)
     assert model.cnn.in_dim == 16
     predicted = tiny_model(data, mode=MODE_PREDICTED,
                            truecaser=tiny_truecaser(data),
@@ -88,12 +98,14 @@ def test_gold_case_vectors_one_hot():
     assert rows.tolist() == [[1, 0], [0, 1], [0, 1], [0, 1]]
 
 
-def test_predicted_mode_distribution_count_checked():
+def test_predicted_mode_distribution_count_checked(monkeypatch):
     data = tiny_dataset()
     model = tiny_model(data, mode=MODE_PREDICTED, truecaser=tiny_truecaser(data))
+    monkeypatch.setattr(ner_module, "case_distributions_for_tokens",
+                        lambda truecaser, tokens, cache=None: np.zeros((2, 2)))
     with pytest.raises(AlignmentError) as err:
-        model.token_repr("Alan", "Alan", dists=np.zeros((2, 2)))
-    assert "Alan" in str(err.value)
+        model.emissions(data[0])
+    assert "Alan visited Boston ." in str(err.value)
 
 
 def test_predicted_mode_needs_truecaser():
@@ -114,7 +126,7 @@ def test_constant_halves_equal_manual_concat(monkeypatch):
         via_truecaser = model.emissions(ex)
         monkeypatch.setattr(ner_module, "case_distributions_for_tokens",
                             lambda truecaser, tokens, cache=None:
-                            [np.full((len(t), 2), 0.5) for t in tokens])
+                            np.full((len(" ".join(tokens)), 2), 0.5))
         manual = model.emissions(ex)
     assert np.allclose(via_truecaser.data, manual.data, atol=1e-12, rtol=0)
 
@@ -131,11 +143,12 @@ CASING_ALPHABET = "aZ\u00df\u0130\u01c5\ufb01\u0301\u0327\u03a3."
 def test_case_vector_path_aligns_on_unicode_casing(tokens):
     data = tiny_dataset()
     model = tiny_model(data, mode=MODE_PREDICTED, truecaser=tiny_truecaser(data))
-    blocks = case_distributions_for_tokens(model.truecaser, tokens)
-    assert [block.shape for block in blocks] == [(len(tok), 2) for tok in tokens]
+    rows = case_distributions_for_tokens(model.truecaser, tokens)
+    assert rows.shape == (len(" ".join(tokens)), 2)
     example = NerExample(tokens, ["O"] * len(tokens))
     for ex in (example, lowercase_example(example)):
-        assert model.infer_emissions(ex).shape == (len(tokens), len(model.tagset))
+        with no_grad():
+            assert model.emissions(ex).shape == (len(tokens), len(model.tagset))
         assert model.emissions(ex).shape == (len(tokens), len(model.tagset))
 
 
@@ -155,6 +168,42 @@ def test_forward_deterministic():
         a = model.emissions(data[0]).data
         b = model.emissions(data[0]).data
     assert np.array_equal(a, b)
+
+
+def test_word_table_gradients_reach_known_and_unknown_rows():
+    table = EmbeddingTable(["cat", "dog"], np.arange(6.0).reshape(2, 3), np.full(3, -1.0),
+                           trainable=True)
+    out = table(["Cat", "eel", "cat", "fox"])
+    assert np.array_equal(out.data, [[0, 1, 2], [-1, -1, -1], [0, 1, 2], [-1, -1, -1]])
+    g = np.arange(12.0).reshape(4, 3)
+    (out * Tensor(g)).sum().backward()
+    assert np.array_equal(table.vectors.grad, [g[0] + g[2], [0, 0, 0]])
+    assert np.array_equal(table.unk.grad, g[1] + g[3])
+
+
+def test_word_table_leaves_an_unread_parameter_without_gradient():
+    """Adam skips a None gradient but runs a zero one through its moments, so
+    a parameter that no word reads must keep None."""
+    for words, unread in ((["cat", "dog"], "unk"), (["eel"], "vectors")):
+        table = EmbeddingTable(["cat", "dog"], np.ones((2, 3)), np.zeros(3), trainable=True)
+        table(words).sum().backward()
+        grads = {name: p.grad for name, p in table.named_params()}
+        assert grads.pop(unread) is None
+        assert all(grad is not None for grad in grads.values())
+    frozen = EmbeddingTable(["cat"], np.ones((1, 3)), np.zeros(3), trainable=False)
+    frozen(["cat", "eel"]).sum().backward()
+    assert frozen.vectors.grad is None and frozen.unk.grad is not None
+
+
+def test_emissions_tape_does_not_grow_per_token():
+    """The training forward records as many nodes for one token as for five."""
+    data = tiny_dataset()
+    for mode, tc in ((MODE_NONE, None), (MODE_PREDICTED, tiny_truecaser(data)),
+                     (MODE_GOLD, None)):
+        model = tiny_model(data, mode=mode, truecaser=tc, dropout=0.5)
+        counts = [len(_toposort(model.emissions(ex, True, np.random.default_rng(0)).sum()))
+                  for ex in (NerExample(["Alan"], ["B-PER"]), data[1])]
+        assert counts[0] == counts[1] <= 30, mode
 
 
 def test_full_stack_gradient_check_none_mode():

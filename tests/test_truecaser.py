@@ -22,7 +22,6 @@ from casetag.truecaser import (
     eval_truecaser,
     lowercase_keep_length,
     make_training_example,
-    split_distributions,
     train_truecaser,
 )
 
@@ -258,29 +257,21 @@ def test_apply_only_changes_case():
 
 def test_distributions_for_tokens_shapes():
     model = tiny_model()
-    blocks = case_distributions_for_tokens(model, ["ab", "b"])
-    assert [len(b) for b in blocks] == [2, 1]
-    assert case_distributions_for_tokens(model, ["abba"])[0].shape == (4, 2)
-    assert case_distributions_for_tokens(model, []) == []
+    assert case_distributions_for_tokens(model, ["ab", "b"]).shape == (4, 2)
+    assert case_distributions_for_tokens(model, ["abba"]).shape == (4, 2)
+    assert case_distributions_for_tokens(model, []).shape == (0, 2)
 
 
 def test_distributions_match_joined_input():
     model = tiny_model()
-    joined = model.distributions("ab b")
-    blocks = case_distributions_for_tokens(model, ["AB", "b"])  # lowercased internally
-    assert np.allclose(np.vstack(blocks), np.vstack([joined[:2], joined[3:4]]))
+    rows = case_distributions_for_tokens(model, ["AB", "b"])  # lowercased internally
+    assert np.array_equal(rows, model.distributions("ab b"))
 
 
 @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=5), min_size=1, max_size=4))
 def test_alignment_property_counts(tokens):
     model = tiny_model()
-    blocks = case_distributions_for_tokens(model, tokens)
-    assert sum(len(b) for b in blocks) + len(tokens) - 1 == len(" ".join(tokens))
-
-
-def test_split_distributions_rejects_misaligned():
-    with pytest.raises(InputError):
-        split_distributions(np.zeros((3, 2)), ["ab", "cd"])
+    assert len(case_distributions_for_tokens(model, tokens)) == len(" ".join(tokens))
 
 
 # -- evaluation --------------------------------------------------------------------
