@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from casetag.errors import ParseError, text_lines
+from casetag.errors import InputError, ParseError, text_lines
+from casetag.metrics import split_tag
 from casetag.ner import EmbeddingTable, NerExample
 
 
 def read_conll(path: str) -> list[NerExample]:
     """Whitespace-separated columns, token first, BIO tag last; blank lines
-    separate sentences; -DOCSTART- lines are skipped."""
+    separate sentences; -DOCSTART- lines are skipped.  A tag other than O,
+    B-X or I-X is a ParseError naming the line."""
     examples: list[NerExample] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -32,6 +34,10 @@ def read_conll(path: str) -> list[NerExample]:
             continue
         if len(cols) < 2:
             raise ParseError(f"{path} line {i}: token without a tag column: {line!r}")
+        try:
+            split_tag(cols[-1])
+        except InputError as exc:
+            raise ParseError(f"{path} line {i}: {exc}") from exc
         tokens.append(cols[0])
         tags.append(cols[-1])
     flush()
@@ -50,7 +56,7 @@ def read_embeddings(path: str, dim: int) -> EmbeddingTable:
     """One word per line followed by dim floats.  Loaded vectors are frozen;
     the unknown-word vector is their element-wise mean and stays trainable.
 
-    Words are folded with str.lower(), as EmbeddingTable.lookup folds its
+    Words are folded with str.lower(), as EmbeddingTable.__call__ folds its
     queries.  Of the lines whose words fold to the same key, the first is
     kept; the others are counted in duplicates_skipped."""
     words: list[str] = []

@@ -89,7 +89,8 @@ def char_f1(gold, pred) -> PrfScore:
     return PrfScore(tp, fp, fn)
 
 
-def _split_tag(tag: str) -> tuple[str, str | None]:
+def split_tag(tag: str) -> tuple[str, str | None]:
+    """("O", None) for O, (prefix, type) for B-X and I-X; InputError otherwise."""
     if tag == "O":
         return "O", None
     if len(tag) > 2 and tag[1] == "-" and tag[0] in "BI":
@@ -103,7 +104,7 @@ def bio_decode(tags: Sequence[str]) -> list[Span]:
     start = None
     label = None
     for i, tag in enumerate(tags):
-        prefix, typ = _split_tag(tag)
+        prefix, typ = split_tag(tag)
         if prefix == "O":
             if start is not None:
                 spans.append(Span(start, i, label))

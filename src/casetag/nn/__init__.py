@@ -4,7 +4,6 @@ from casetag.nn.tensor import (
     concat,
     cross_entropy,
     log_softmax,
-    logsumexp,
     no_grad,
     sigmoid_np,
     softmax_np,
@@ -17,7 +16,7 @@ from casetag.nn.gradcheck import GradCheckReport, gradient_check
 from casetag.nn.serialize import Container, restore_params, store_params
 
 __all__ = [
-    "DTYPE", "Tensor", "concat", "cross_entropy", "log_softmax", "logsumexp", "no_grad",
+    "DTYPE", "Tensor", "concat", "cross_entropy", "log_softmax", "no_grad",
     "sigmoid_np", "softmax_np", "stack", "zeros",
     "BiLSTM", "CharCNN", "Embedding", "Linear", "LSTMCell", "dropout", "glorot", "prefixed",
     "Adam", "clip_global_norm", "GradCheckReport", "gradient_check",

@@ -170,15 +170,6 @@ class Tensor:
             out._backward = bw
         return out
 
-    def reshape(self, *shape):
-        orig = self.data.shape
-        out = _result(self.data.reshape(*shape), (self,))
-        if out.requires_grad:
-            def bw(g, a=self, orig=orig):
-                a._accumulate(g.reshape(orig))
-            out._backward = bw
-        return out
-
     def transpose(self):
         out = _result(self.data.T, (self,))
         if out.requires_grad:
@@ -313,27 +304,6 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             for i, t in enumerate(ts):
                 if t.requires_grad:
                     t._accumulate(np.take(g, i, axis=axis))
-        out._backward = bw
-    return out
-
-
-def logsumexp(t: Tensor, axis: int | None = None) -> Tensor:
-    m = np.max(t.data, axis=axis, keepdims=True)
-    s = np.exp(t.data - m)
-    tot = np.sum(s, axis=axis, keepdims=True)
-    data = np.log(tot) + m
-    if axis is None:
-        data = data.reshape(())
-    else:
-        data = data.squeeze(axis)
-    out = _result(data, (t,))
-    if out.requires_grad:
-        soft = s / tot
-        def bw(g, a=t, soft=soft, axis=axis):
-            if axis is None:
-                a._accumulate(soft * float(g))
-            else:
-                a._accumulate(soft * np.expand_dims(g, axis))
         out._backward = bw
     return out
 

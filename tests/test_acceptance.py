@@ -18,12 +18,7 @@ from casetag.corpus import (
     caps_ratio_filter,
     normalize_first_word,
 )
-from casetag.crf import (
-    Crf,
-    crf_nll,
-    log_partition,
-    viterbi_decode,
-)
+from casetag.crf import Crf, crf_nll, viterbi_decode
 from casetag.experiments import (
     augmentation_comparison,
     case_vector_comparison,
@@ -56,7 +51,7 @@ from casetag.nn import (
 from casetag.synthetic import ner_dataset, truecaser_corpus
 from casetag.truecaser import CharVocab, Truecaser
 
-from crf_oracles import brute_force_best, brute_force_partition, path_score
+from crf_oracles import brute_force_best, brute_force_partition, log_partition, path_score
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -98,6 +93,14 @@ def test_criterion_1_gradient_suite():
     worst["char_cnn"] = gradient_check(  # two tokens around a joining space's row
         lambda: (cnn(chars, [(0, 2), (3, 5)]) * wf).sum(), prefixed("cnn", cnn)).max_error
 
+    crf = Crf(3, rng)
+    crf.start.data[:] = rng.normal(size=3)
+    crf.end.data[:] = rng.normal(size=3)
+    em = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    worst["crf_nll"] = gradient_check(  # the gold path repeats the transition 2 -> 1
+        lambda: crf_nll(em, [2, 1, 0, 2, 1], crf),
+        prefixed("crf", crf) + [("emissions", em)]).max_error
+
     vocab = CharVocab(list("aln w"))
     tc = Truecaser(vocab, char_emb_dim=3, hidden_dim=2, dropout_rate=0.0, seed=3)
     labels = np.array([0, 1, 1, 1])
@@ -135,6 +138,7 @@ def test_criterion_2_crf_oracle_suite():
     t0 = time.time()
     rng = np.random.default_rng(2024)
     worst_partition = 0.0
+    worst_nll = 0.0
     worst_viterbi = 0.0
     min_nll = np.inf
     for _ in range(100):
@@ -150,13 +154,16 @@ def test_criterion_2_crf_oracle_suite():
         worst_viterbi = max(worst_viterbi, abs(
             path_score(em, viterbi_decode(em, crf), crf) - best_score))
         gold = rng.integers(0, T, size=L)
-        min_nll = min(min_nll, crf_nll(em, gold, crf).item())
+        nll = crf_nll(em, gold, crf).item()
+        worst_nll = max(worst_nll, abs(
+            nll - (brute_force_partition(em, crf) - path_score(em, gold, crf))))
+        min_nll = min(min_nll, nll)
     elapsed = time.time() - t0
-    ok = worst_partition <= 1e-8 and worst_viterbi <= 1e-9 and min_nll >= 0.0 \
-        and elapsed < 60
+    ok = worst_partition <= 1e-8 and worst_nll <= 1e-8 and worst_viterbi <= 1e-9 \
+        and min_nll >= 0.0 and elapsed < 60
     report(2, "crf oracle suite", ok,
-           f"partition_err={worst_partition:.2e} viterbi_err={worst_viterbi:.2e} "
-           f"min_nll={min_nll:.3g} ({elapsed:.1f}s)")
+           f"partition_err={worst_partition:.2e} nll_err={worst_nll:.2e} "
+           f"viterbi_err={worst_viterbi:.2e} min_nll={min_nll:.3g} ({elapsed:.1f}s)")
 
 
 def test_criterion_3_preprocessing_fixtures():

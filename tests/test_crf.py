@@ -1,21 +1,24 @@
 """CRF against exhaustive enumeration, analytic micro-cases, and shift
-properties."""
+properties; the fused crf_nll node against the tape oracle, bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casetag.crf import (
-    Crf,
-    crf_nll,
+import casetag.crf
+from casetag.crf import Crf, crf_nll, viterbi_decode
+from casetag.errors import InputError, NumericError
+from casetag.nn import Tensor, gradient_check, no_grad
+
+from crf_oracles import (
+    brute_force_best,
+    brute_force_partition,
     gold_path_score,
     log_partition,
-    viterbi_decode,
+    logsumexp,
+    path_score,
+    tape_nll,
 )
-from casetag.errors import InputError, NumericError
-from casetag.nn import Tensor, gradient_check
-
-from crf_oracles import brute_force_best, brute_force_partition, path_score
 
 
 def make_crf(T, rng=None, zero=False):
@@ -156,3 +159,123 @@ def test_gold_path_score_matches_pure_numpy():
     gold = [3, 1, 0, 2, 2]
     assert gold_path_score(em, gold, crf).item() == pytest.approx(
         path_score(em, gold, crf), abs=1e-10)
+
+
+def test_logsumexp_grads_and_value():
+    a = Tensor(np.random.default_rng(123).normal(size=(3, 4)), requires_grad=True)
+    assert gradient_check(lambda: logsumexp(a), [("a", a)]).max_error <= 1e-7
+    assert gradient_check(lambda: logsumexp(a, axis=0).sum(), [("a", a)]).max_error <= 1e-7
+    t = Tensor(np.array([1000.0, 1000.0]))
+    assert np.isclose(logsumexp(t).item(), 1000.0 + np.log(2))
+
+
+# -- the fused crf_nll node against the tape oracle ------------------------------------
+
+def nll_and_grads(nll, em_data, gold, crf, em_grad=True):
+    """The loss value and the gradients of emissions, trans, start and end
+    after one backward of nll (crf_nll or the tape oracle)."""
+    params = (crf.trans, crf.start, crf.end)
+    for p in params:
+        p.grad = None
+    em = Tensor(em_data.copy(), requires_grad=em_grad)
+    loss = nll(em, gold, crf)
+    loss.backward()
+    return loss.item(), [em.grad] + [p.grad for p in params]
+
+
+def assert_same_as_tape(em_data, gold, crf, em_grad=True):
+    fused_value, fused = nll_and_grads(crf_nll, em_data, gold, crf, em_grad)
+    tape_value, tape = nll_and_grads(tape_nll, em_data, gold, crf, em_grad)
+    assert fused_value == tape_value
+    for name, a, b in zip(("emissions", "trans", "start", "end"), fused, tape):
+        assert (a is None) == (b is None), name
+        assert a is None or np.array_equal(a, b), name
+    return fused_value, fused
+
+
+@pytest.mark.parametrize("L", [1, 2, 40])
+@pytest.mark.parametrize("T", [1, 2, 9])
+def test_fused_nll_bit_identical_to_tape(L, T):
+    rng = np.random.default_rng(100 * L + T)
+    em, crf = random_instance(rng, L=L, T=T)
+    gold = rng.integers(0, T, size=L)
+    value, grads = assert_same_as_tape(em.data, gold, crf)
+    assert value == pytest.approx(log_partition(em, crf).item()
+                                  - gold_path_score(em, gold, crf).item(), abs=1e-12)
+    # a single token reaches no transition, so trans gets no gradient
+    assert (grads[1] is None) == (L == 1)
+
+
+def test_fused_nll_gold_path_repeats_a_transition():
+    rng = np.random.default_rng(8)
+    em, crf = random_instance(rng, L=7, T=3)
+    gold = [1, 2, 1, 2, 1, 2, 0]  # 1 -> 2 three times, 2 -> 1 twice
+    _, (_, dtrans, _, _) = assert_same_as_tape(em.data, gold, crf)
+    assert dtrans is not None
+
+
+def test_fused_nll_single_tag_is_zero_with_zero_grads():
+    rng = np.random.default_rng(9)
+    em, crf = random_instance(rng, L=6, T=1)
+    value, grads = assert_same_as_tape(em.data, [0] * 6, crf)
+    assert value == 0.0
+    assert all(not np.any(g) for g in grads)
+
+
+def test_fused_nll_clamp_pins_value_and_grads_at_zero(monkeypatch):
+    # with the recursion's accumulation order, log Z never rounds below the
+    # gold score; lift the gold score to reach the clamp
+    rng = np.random.default_rng(10)
+    em, crf = random_instance(rng, L=4, T=3)
+    gold = [0, 1, 2, 0]
+    real = casetag.crf._gold_score
+    monkeypatch.setattr(casetag.crf, "_gold_score", lambda *args: real(*args) + 1e3)
+    value, grads = nll_and_grads(crf_nll, em.data, gold, crf)
+    assert value == 0.0
+    assert all(g is not None and not np.any(g) for g in grads)
+
+
+def test_fused_nll_frozen_crf_and_constant_emissions_get_no_grad():
+    rng = np.random.default_rng(11)
+    em, crf = random_instance(rng, L=5, T=4)
+    gold = rng.integers(0, 4, size=5)
+    _, grads = assert_same_as_tape(em.data, gold, crf, em_grad=False)
+    assert grads[0] is None and all(g is not None for g in grads[1:])
+    for p in crf.named_params():
+        p[1].requires_grad = False
+    _, grads = assert_same_as_tape(em.data, gold, crf)
+    assert grads[0] is not None and all(g is None for g in grads[1:])
+
+
+def test_fused_nll_under_no_grad_records_no_node():
+    rng = np.random.default_rng(12)
+    em, crf = random_instance(rng, L=5, T=4)
+    em = Tensor(em.data, requires_grad=True)
+    with no_grad():
+        loss = crf_nll(em, [0, 1, 2, 3, 0], crf)
+    assert not loss.requires_grad and loss._parents == () and loss._backward is None
+
+
+def test_fused_nll_benchmark_call():
+    """A list of tags, a plain Tensor, .item() under no_grad: the value
+    matches a float64 numpy forward algorithm."""
+    rng = np.random.default_rng(13)
+    em_t, crf = random_instance(rng, L=9, T=9)
+    em = em_t.data
+    gold = [int(y) for y in rng.integers(0, 9, size=9)]
+    with no_grad():
+        nll = crf_nll(Tensor(em), gold, crf).item()
+    assert isinstance(nll, float)
+    trans, start, end = crf.trans.data, crf.start.data, crf.end.data
+    alpha = start + em[0]
+    for t in range(1, len(em)):
+        alpha = np.logaddexp.reduce(alpha[:, None] + trans, axis=0) + em[t]
+    log_z = float(np.logaddexp.reduce(alpha + end))
+    assert nll == pytest.approx(log_z - path_score(em, gold, crf), abs=1e-9 * max(1.0, abs(log_z)))
+
+
+@pytest.mark.parametrize("gold", [[0, 1], [0, 1, 2, 0], [0, -1, 2]])
+def test_nll_rejects_length_mismatch_and_negative_tags(gold):
+    crf = make_crf(3)
+    with pytest.raises(InputError):
+        crf_nll(Tensor(np.zeros((3, 3))), gold, crf)

@@ -144,6 +144,19 @@ def test_conll_file_not_utf8(tmp_path, capsys):
                    str(path), "line 4", "UTF-8")
 
 
+@pytest.mark.parametrize("role", ["--train", "--dev"])
+def test_conll_tag_not_bio(tmp_path, files, capsys, role):
+    bad = tmp_path / "bad.conll"
+    bad.write_text("Alan B-PER\nran O\n\nBoston PER\n", encoding="utf-8")
+    data = {"--train": files["conll"], "--dev": files["conll"], role: bad}
+    out = tmp_path / "out.ctr"
+    one_line_error(capsys, ["train-ner", "--train", str(data["--train"]), "--dev",
+                            str(data["--dev"]), "--word-emb-dim", "4", "--epochs", "1",
+                            "--output", str(out)],
+                   str(bad), "line 4", "malformed BIO tag 'PER'")
+    assert not out.exists()
+
+
 def test_embedding_file_not_utf8(tmp_path, files, capsys):
     path = tmp_path / "vectors.txt"
     path.write_bytes(b"alan 1 2 3 4\nbost\xf6n 5 6 7 8\n")
