@@ -13,9 +13,8 @@ import importlib.resources
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from casetag.config import RunConfig
 from casetag.errors import ConfigError, InputError, ParseError, text_lines
-
-DEFAULT_CAPS_THRESHOLD = 0.20
 
 
 class CasingStats:
@@ -157,7 +156,7 @@ def apply_lowercase_rules(tokens: list[str], rules: LowercaseRules) -> list[str]
     return [tok.lower() if tok in rules else tok for tok in tokens]
 
 
-def caps_ratio_filter(tokens: list[str], threshold: float = DEFAULT_CAPS_THRESHOLD) -> bool:
+def caps_ratio_filter(tokens: list[str], threshold: float = RunConfig.caps_threshold) -> bool:
     """True = keep.  Drops when capitalized_tokens / total_tokens strictly
     exceeds the threshold; a capitalized token starts with an uppercase letter."""
     if not tokens:
@@ -179,7 +178,7 @@ class PrepReport:
 
 
 def prepare_corpus(lines: Iterable[str], stats: CasingStats, rules: LowercaseRules,
-                   threshold: float = DEFAULT_CAPS_THRESHOLD,
+                   threshold: float = RunConfig.caps_threshold,
                    report: PrepReport | None = None) -> Iterator[str]:
     """normalize_first_word -> apply_lowercase_rules -> caps_ratio_filter,
     streaming one cleaned sentence per kept input line."""

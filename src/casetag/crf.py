@@ -100,14 +100,12 @@ def crf_nll(emissions: Tensor, tags, crf: Crf) -> Tensor:
     parents = (emissions, crf.trans, crf.start, crf.end)
     weights = [] if _records(parents) else None
     log_z, final = _forward(em, trans, start, end, weights)
-    raw = log_z - _gold_score(em, trans, start, end, tags)
-    # log Z rounds no lower than the gold score in this accumulation order;
-    # should raw still come out negative, its value and gradient are zero
-    clamp = 0.0 if raw < 0.0 else 1.0
-    node = _result(np.asarray(raw * clamp), parents)
+    # log Z rounds no lower than the gold score: both add in the same order,
+    # each step's log(tot) >= 0 and rounding is monotone
+    node = _result(np.asarray(log_z - _gold_score(em, trans, start, end, tags)), parents)
     if node.requires_grad:
         def bw(g):
-            g = float(g) * clamp
+            g = float(g)
             dem = np.empty_like(em)
             dalpha = final * g
             dend = dalpha.copy()

@@ -67,19 +67,6 @@ class LSTMCell:
         b[hidden_dim:2 * hidden_dim] = 1.0
         self.b = Tensor(b, requires_grad=True)
 
-    def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        """One timestep on the tape, one node per operation: the reference
-        that the tests hold run()'s forward and backward against."""
-        H = self.hidden_dim
-        gates = self.W_ih @ x + self.W_hh @ h + self.b
-        i = gates[0:H].sigmoid()
-        f = gates[H:2 * H].sigmoid()
-        g = gates[2 * H:3 * H].tanh()
-        o = gates[3 * H:4 * H].sigmoid()
-        c_new = f * c + i * g
-        h_new = o * c_new.tanh()
-        return h_new, c_new
-
     def _scan(self, xs: np.ndarray, reverse: bool, saved: list | None = None) -> np.ndarray:
         """The recurrence on numpy arrays, input projections hoisted out of
         the loop; returns the (L, H) states.  Given a list, appends to it, for
@@ -112,7 +99,8 @@ class LSTMCell:
         backpropagation through time.  Forward and backward compute the same
         floats, in the same order, as a tape of one node per operation: the
         hoisted projections `pre = xs @ W_ih.T + b`, then at each step
-        `pre[t] + W_hh @ h` and step()'s gate operations.  So training is
+        `pre[t] + W_hh @ h` and the gate operations (sigmoid of i, f, o, tanh
+        of the candidate, c = f*c + i*g, h = o*tanh(c)).  So training is
         bit-identical to that tape.  Per-step activations are kept only when
         the node records a backward."""
         parents = (xs, self.W_ih, self.W_hh, self.b)
@@ -219,7 +207,7 @@ class CharCNN:
         Each token's windows read only its own rows, zero-padded at its edges
         as if it stood alone, so rows between tokens (the joining spaces)
         never enter a window.  The gradient of each maximum goes to its first
-        maximal position, as Tensor.max routes it."""
+        maximal position."""
         d = chars.shape[1]
         if d != self.in_dim:
             raise ConfigError(f"char CNN expects vectors of dim {self.in_dim}, got {d}")

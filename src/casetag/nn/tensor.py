@@ -4,6 +4,12 @@ A small tape: each operation returns a new Tensor that records its inputs
 and a closure routing the output gradient back to them.  backward() on a
 scalar walks the tape in reverse topological order.  Everything is float64;
 there is no broadcasting beyond what the layers in this package need.
+
+The general ops (arithmetic, indexing, transpose, sum, concat) serve the
+affine layers, lookups and dropout.  Each loss and recurrence is one node
+with a hand-written backward (cross_entropy here; LSTMCell.run and CharCNN
+in layers, crf_nll in casetag.crf).  The per-op tapes that the tests hold
+those nodes against live with the tests, as oracles.
 """
 
 from __future__ import annotations
@@ -65,14 +71,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def ndim(self):
-        return self.data.ndim
 
     def item(self) -> float:
         return float(self.data)
@@ -195,42 +193,6 @@ class Tensor:
             out._backward = bw
         return out
 
-    def mean(self, axis=None):
-        n = self.data.size if axis is None else self.data.shape[axis]
-        return self.sum(axis=axis) * (1.0 / n)
-
-    def max(self, axis: int):
-        idx = np.argmax(self.data, axis=axis)
-        out_data = np.take_along_axis(self.data, np.expand_dims(idx, axis), axis).squeeze(axis)
-        out = _result(out_data, (self,))
-        if out.requires_grad:
-            def bw(g, a=self, idx=idx, axis=axis):
-                gz = np.zeros_like(a.data)
-                np.put_along_axis(gz, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
-                a._accumulate(gz)
-            out._backward = bw
-        return out
-
-    # -- pointwise --------------------------------------------------------
-
-    def tanh(self):
-        t = np.tanh(self.data)
-        out = _result(t, (self,))
-        if out.requires_grad:
-            def bw(g, a=self, t=t):
-                a._accumulate(g * (1.0 - t * t))
-            out._backward = bw
-        return out
-
-    def sigmoid(self):
-        s = sigmoid_np(self.data)
-        out = _result(s, (self,))
-        if out.requires_grad:
-            def bw(g, a=self, s=s):
-                a._accumulate(g * s * (1.0 - s))
-            out._backward = bw
-        return out
-
 
 def _is_basic_index(idx) -> bool:
     """True for an int, a slice, or a tuple of those: indices that select
@@ -296,21 +258,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return out
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out = _result(np.stack([t.data for t in tensors], axis=axis), tensors)
-    if out.requires_grad:
-        def bw(g, ts=tensors, axis=axis):
-            for i, t in enumerate(ts):
-                if t.requires_grad:
-                    t._accumulate(np.take(g, i, axis=axis))
-        out._backward = bw
-    return out
-
-
 # -- numpy forms ------------------------------------------------------------
-# The fused nodes (LSTMCell.run) and the truecaser's distributions call these
-# on arrays; Tensor.sigmoid and log_softmax call them too.
+# The fused nodes (LSTMCell.run, cross_entropy) and the truecaser's
+# distributions call these on arrays.
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -338,26 +288,25 @@ def log_softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
-    out_data = log_softmax_np(t.data, axis)
-    out = _result(out_data, (t,))
-    if out.requires_grad:
-        soft = np.exp(out_data)
-        def bw(g, a=t, soft=soft, axis=axis):
-            a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
-        out._backward = bw
-    return out
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean negative log-likelihood of integer labels under row-wise softmax
+    of (n, classes) logits, as one tape node.
 
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood of integer labels under row-wise softmax."""
+    Forward and backward compute the same floats, in the same order, as a
+    tape of one node per operation (log-softmax, pick each row's label,
+    sum, times 1/n, negate), so training is bit-identical to that tape."""
     labels = np.asarray(labels)
-    if logits.ndim == 1:
-        ls = log_softmax(logits, axis=-1)
-        return -ls[int(labels)]
-    if labels.shape[0] != logits.shape[0]:
+    if logits.data.ndim != 2 or labels.shape != logits.shape[:1]:
         raise InputError(
-            f"cross_entropy: {logits.shape[0]} rows of logits vs {labels.shape[0]} labels")
-    ls = log_softmax(logits, axis=-1)
-    picked = ls[(np.arange(len(labels)), labels)]
-    return -picked.mean()
+            f"cross_entropy: logits of shape {logits.shape} vs labels of shape {labels.shape}")
+    n = len(labels)
+    ls = log_softmax_np(logits.data)
+    gold = (np.arange(n), labels)
+    node = _result(np.asarray(-(ls[gold].sum() * (1.0 / n))), (logits,))
+    if node.requires_grad:
+        def bw(g):
+            d = np.zeros_like(ls)
+            d[gold] += (-g) * (1.0 / n)
+            logits._accumulate(d - np.exp(ls) * d.sum(axis=-1, keepdims=True))
+        node._backward = bw
+    return node

@@ -5,7 +5,9 @@ Each token is its own (len, in_dim) matrix, zero-padded at both ends and
 convolved with one tape node per operation; the encodings are stacked.
 """
 
-from casetag.nn import CharCNN, Tensor, concat, stack, zeros
+from casetag.nn import CharCNN, Tensor, concat, zeros
+
+from tape_oracles import max_over, stack, tanh
 
 
 def token_cnn(cnn: CharCNN, chars: Tensor) -> Tensor:
@@ -21,8 +23,8 @@ def token_cnn(cnn: CharCNN, chars: Tensor) -> Tensor:
         parts.append(zeros((right, cnn.in_dim)))
     padded = concat(parts, axis=0) if len(parts) > 1 else chars
     windows = concat([padded[i:i + n] for i in range(cnn.width)], axis=1)  # (n, w*in_dim)
-    acts = (windows @ cnn.W.T + cnn.b).tanh()  # (n, filters)
-    return acts.max(axis=0)
+    acts = tanh(windows @ cnn.W.T + cnn.b)  # (n, filters)
+    return max_over(acts, axis=0)
 
 
 def per_token_cnn(cnn: CharCNN, chars: Tensor, spans) -> Tensor:

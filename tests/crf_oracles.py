@@ -79,11 +79,8 @@ def gold_path_score(emissions: Tensor, tags, crf: Crf) -> Tensor:
 
 
 def tape_nll(emissions: Tensor, tags, crf: Crf) -> Tensor:
-    """log_partition - gold_path_score on the tape, clamped at zero as crf_nll is."""
-    raw = log_partition(emissions, crf) - gold_path_score(emissions, tags, crf)
-    if float(raw.data) < 0.0:
-        raw = raw * 0.0
-    return raw
+    """log_partition - gold_path_score on the tape."""
+    return log_partition(emissions, crf) - gold_path_score(emissions, tags, crf)
 
 
 # -- exhaustive enumeration ------------------------------------------------------------

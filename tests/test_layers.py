@@ -19,11 +19,11 @@ from casetag.nn import (
     gradient_check,
     no_grad,
     prefixed,
-    stack,
     zeros,
 )
 
 from cnn_oracle import per_token_cnn
+from tape_oracles import lstm_step, stack
 
 
 # -- scalar reference implementations (independent of the tensor engine) ----
@@ -149,7 +149,7 @@ def test_lstm_zero_params_zero_output():
     cell.W_ih.data[:] = 0.0
     cell.W_hh.data[:] = 0.0
     cell.b.data[:] = 0.0
-    h, c = cell.step(Tensor([5.0, -2.0, 1.0]), zeros(2), zeros(2))
+    h, c = lstm_step(cell, Tensor([5.0, -2.0, 1.0]), zeros(2), zeros(2))
     assert np.all(h.data == 0.0) and np.all(c.data == 0.0)
 
 
@@ -159,7 +159,7 @@ def test_lstm_matches_scalar_reference():
     x = rng.normal(size=3)
     h0 = rng.normal(size=2)
     c0 = rng.normal(size=2)
-    h, c = cell.step(Tensor(x), Tensor(h0), Tensor(c0))
+    h, c = lstm_step(cell, Tensor(x), Tensor(h0), Tensor(c0))
     h_ref, c_ref = lstm_step_ref(
         list(x), list(h0), list(c0),
         cell.W_ih.data.tolist(), cell.W_hh.data.tolist(), cell.b.data.tolist())
@@ -176,7 +176,7 @@ def test_lstm_gradient_matches_finite_differences():
     w = rng.normal(size=2)
 
     def loss():
-        h, c = cell.step(x, h0, c0)
+        h, c = lstm_step(cell, x, h0, c0)
         return (h * w).sum() + (c * c).sum()
 
     report = gradient_check(loss, prefixed("cell", cell))
@@ -187,9 +187,9 @@ def test_lstm_gradient_matches_finite_differences():
 
 def step_oracle_run(cell, xs, reverse=False):
     """run() as a per-step tape: the hoisted projections xs @ W_ih.T + b,
-    then one step() per position.  step() sums W_ih @ x + W_hh @ h + b; an
-    identity W_ih and a zero b make that pre[t] + W_hh @ h exactly, since
-    I @ v == v and v + 0 == v, which is the sum run() takes."""
+    then one lstm_step() per position.  lstm_step() sums W_ih @ x + W_hh @ h
+    + b; an identity W_ih and a zero b make that pre[t] + W_hh @ h exactly,
+    since I @ v == v and v + 0 == v, which is the sum run() takes."""
     H = cell.hidden_dim
     proj = LSTMCell(4 * H, H, np.random.default_rng(0))
     proj.W_ih = Tensor(np.eye(4 * H))
@@ -200,7 +200,7 @@ def step_oracle_run(cell, xs, reverse=False):
     L = xs.shape[0]
     outs = [None] * L
     for t in (range(L - 1, -1, -1) if reverse else range(L)):
-        h, c = proj.step(pre[t], h, c)
+        h, c = lstm_step(proj, pre[t], h, c)
         outs[t] = h
     return stack(outs, axis=0)
 
@@ -283,8 +283,8 @@ def test_bilstm_length_one_concatenates_directions():
     x = Tensor(rng.normal(size=(1, 3)))
     out = bi(x)
     assert out.shape == (1, 4)
-    hf, _ = bi.fwd.step(x[0], zeros(2), zeros(2))
-    hb, _ = bi.bwd.step(x[0], zeros(2), zeros(2))
+    hf, _ = lstm_step(bi.fwd, x[0], zeros(2), zeros(2))
+    hb, _ = lstm_step(bi.bwd, x[0], zeros(2), zeros(2))
     assert np.allclose(out.data[0], np.concatenate([hf.data, hb.data]), atol=1e-12)
 
 

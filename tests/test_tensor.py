@@ -1,21 +1,16 @@
 """Autodiff engine: op-level gradients against finite differences, softmax
-contracts."""
+contracts, and the fused cross_entropy node against its tape oracle, bit for
+bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from casetag.errors import InputError, NumericError
-from casetag.nn import (
-    Tensor,
-    concat,
-    cross_entropy,
-    log_softmax,
-    no_grad,
-    softmax_np,
-    stack,
-    zeros,
-)
+from casetag.nn import Linear, Tensor, concat, cross_entropy, no_grad, softmax_np
+from casetag.nn.tensor import _toposort
+
+from tape_oracles import log_softmax, max_over, sigmoid, stack, tanh, tape_cross_entropy
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -77,14 +72,14 @@ def test_getitem_scatter_grads():
 
 def test_concat_stack_max_grads():
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
-    check_op(lambda ts: concat([ts[0], ts[1]], axis=1).max(axis=1).sum(), [a, b])
+    check_op(lambda ts: max_over(concat([ts[0], ts[1]], axis=1), axis=1).sum(), [a, b])
     check_op(lambda ts: stack([ts[0][0], ts[1][1]], axis=0).sum(), [a, b])
 
 
 def test_pointwise_grads():
     a = rng.normal(size=(2, 3))
-    check_op(lambda ts: ts[0].tanh().sum(), [a])
-    check_op(lambda ts: ts[0].sigmoid().sum(), [a])
+    check_op(lambda ts: tanh(ts[0]).sum(), [a])
+    check_op(lambda ts: sigmoid(ts[0]).sum(), [a])
 
 
 def test_cross_entropy_grad():
@@ -141,8 +136,6 @@ def test_softmax_extreme_logits_stable():
 def test_softmax_rejects_nonfinite():
     with pytest.raises(NumericError):
         softmax_np(np.array([np.inf, 0.0]))
-    with pytest.raises(NumericError):
-        log_softmax(Tensor([np.nan, 0.0]))
 
 
 @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8),
@@ -165,5 +158,59 @@ def test_forward_bit_reproducible():
         r = np.random.default_rng(99)
         x = Tensor(r.normal(size=(4, 3)))
         w = Tensor(r.normal(size=(3, 2)))
-        return (x @ w).tanh().sum().item()
+        return tanh(x @ w).sum().item()
     assert run() == run()
+
+
+# -- the fused cross-entropy node ---------------------------------------------------
+
+def ce_and_grad(ce, data, labels, scale):
+    """The loss value and the logits gradient; the upstream gradient is
+    `scale`, as `aux * aux_weight` scales the auxiliary loss's."""
+    logits = Tensor(data.copy(), requires_grad=True)
+    loss = ce(logits, labels)
+    (loss if scale == 1.0 else loss * scale).backward()
+    return loss.data, logits.grad
+
+
+@pytest.mark.parametrize("classes", [2, 3])
+@pytest.mark.parametrize("scale", [1.0, 0.3, 2.5, 0.0])
+def test_cross_entropy_matches_tape_bit_for_bit(classes, scale):
+    # (-g) * (1/n) and -(g/n) round apart for g = 0.3 at n = 7 and 13, and
+    # for g = 2.5 at n = 3 and 7
+    r = np.random.default_rng(classes)
+    for n in [1, 1, 2, 3, 7, 13, 40] * 10:
+        data = r.normal(0.0, r.choice([0.1, 1.0, 30.0]), size=(n, classes))
+        labels = r.integers(0, classes, size=n)  # labels repeat across rows
+        value, grad = ce_and_grad(cross_entropy, data, labels, scale)
+        want_value, want_grad = ce_and_grad(tape_cross_entropy, data, labels, scale)
+        assert np.array_equal(value, want_value)
+        assert np.array_equal(grad, want_grad)
+
+
+def test_cross_entropy_records_one_node_and_none_under_no_grad():
+    r = np.random.default_rng(4)
+    lin = Linear(3, 2, r)
+    x = Tensor(r.normal(size=(6, 3)))
+    logits = lin(x)
+    loss = cross_entropy(logits, r.integers(0, 2, size=6))
+    assert _toposort(loss) == _toposort(logits) + [loss]
+    assert loss._parents == (logits,)
+    with no_grad():
+        loss = cross_entropy(lin(x), r.integers(0, 2, size=6))
+    assert not loss.requires_grad and loss._parents == () and loss._backward is None
+
+
+@pytest.mark.parametrize("shape,labels", [
+    ((3, 2), [0, 1]), ((3, 2), [0, 1, 0, 1]), ((3, 2), [[0, 1, 0]]), ((3, 2), 1),
+    ((3,), [0, 1, 0]),  # a single row of logits is still (1, classes)
+])
+def test_cross_entropy_rejects_a_label_count_unlike_the_rows(shape, labels):
+    with pytest.raises(InputError):
+        cross_entropy(Tensor(np.zeros(shape), requires_grad=True), labels)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_cross_entropy_rejects_non_finite_logits(bad):
+    with pytest.raises(NumericError):
+        cross_entropy(Tensor([[bad, 0.0], [1.0, 2.0]], requires_grad=True), [0, 1])
