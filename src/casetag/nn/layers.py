@@ -16,6 +16,9 @@ import numpy as np
 from casetag.errors import ConfigError, InputError
 from casetag.nn.tensor import DTYPE, Tensor, _records, _result, concat, sigmoid_np, zeros
 
+# elements of an LSTM's dW_hh summed per row block in its backward pass
+OUTER_BLOCK = 32768
+
 
 def glorot(shape: tuple[int, int], rng: np.random.Generator) -> Tensor:
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
@@ -124,9 +127,9 @@ class LSTMCell:
     def _bptt(self, g: np.ndarray, out: np.ndarray, saved: list, W_hh: np.ndarray,
               reverse: bool) -> np.ndarray:
         """Gradient of the (L, 4H) gate pre-activations, in time order, from
-        the gradient g of the states; adds dW_hh into W_hh.grad step by step,
-        latest step first, as the per-step tape does.  Each product keeps the
-        tape's grouping: sigmoid' is (g*s)*(1-s) and tanh' is g*(1-t*t)."""
+        the gradient g of the states; adds dW_hh into W_hh.grad.  Each
+        product keeps the tape's grouping: sigmoid' is (g*s)*(1-s) and tanh'
+        is g*(1-t*t)."""
         H = self.hidden_dim
         L = out.shape[0]
         S, G, C, TC = (np.stack(a) for a in zip(*saved))
@@ -142,12 +145,6 @@ class LSTMCell:
         third = 1.0 - S
         third[:, 2 * H:3 * H] = 1.0 - G * G
         dtanh_c = 1.0 - TC * TC
-        h_prev = np.concatenate([zero, hs[:-1]])
-        dW_hh = None
-        if self.W_hh.requires_grad:
-            if self.W_hh.grad is None:
-                self.W_hh.grad = np.zeros_like(self.W_hh.data)
-            dW_hh = self.W_hh.grad
         dpre = np.empty((L, 4 * H), dtype=DTYPE)
         dh_next = dc_next = None
         for k in range(L - 1, -1, -1):
@@ -157,12 +154,31 @@ class LSTMCell:
                 dc = dc + dc_next
             d = np.concatenate((dc, dc, dc, dh)) * first[k] * second[k] * third[k]
             dpre[L - 1 - k if reverse else k] = d
-            if dW_hh is not None:
-                dW_hh += np.outer(d, h_prev[k])
             if k:
                 dh_next = W_hh.T @ d
                 dc_next = dc * S[k, H:2 * H]
+        if self.W_hh.requires_grad:
+            self._add_dW_hh(dpre[::-1] if reverse else dpre, np.concatenate([zero, hs[:-1]]))
         return dpre
+
+    def _add_dW_hh(self, ds: np.ndarray, h_prev: np.ndarray) -> None:
+        """Add the outer products of step k's gate gradient ds[k] and the state
+        h_prev[k] it read into W_hh.grad, latest step first, as the per-step
+        tape does.  The sum runs over one block of OUTER_BLOCK elements of the
+        gradient at a time, so the block stays in cache across the L steps,
+        and each element gets the same products added in the same order."""
+        if self.W_hh.grad is None:
+            self.W_hh.grad = np.zeros_like(self.W_hh.data)
+        dW = self.W_hh.grad
+        H = self.hidden_dim
+        rows = max(1, OUTER_BLOCK // H)
+        scratch = np.empty((min(rows, 4 * H), H), dtype=DTYPE)
+        for r in range(0, 4 * H, rows):
+            block = dW[r:r + rows]
+            prod = scratch[:block.shape[0]]
+            for k in range(ds.shape[0] - 1, -1, -1):
+                np.multiply(ds[k, r:r + rows, None], h_prev[k], out=prod)
+                np.add(block, prod, out=block)
 
     def named_params(self):
         return [("W_ih", self.W_ih), ("W_hh", self.W_hh), ("b", self.b)]

@@ -250,15 +250,14 @@ def fit(items: list, named_params: list, loss_fn, cfg: RunConfig,
             continue
         if best is None or score > best:
             best, bad_epochs = score, 0
-            best_state = [p.data.copy() for p in opt.params]
+            best_state = opt.arena.copy()
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 stats.stopped_epoch = epoch
                 break
     if best_state is not None:
-        for p, data in zip(opt.params, best_state):
-            p.data[...] = data
+        opt.arena[...] = best_state
     return best
 
 

@@ -214,20 +214,47 @@ def run_and_grads(run, cell, xs, w):
     return [out.data, xs.grad] + [p.grad for _, p in cell.named_params()]
 
 
-@pytest.mark.parametrize("in_dim,hidden", [(16, 24), (50, 100)])
-@pytest.mark.parametrize("L", [1, 40])
-@pytest.mark.parametrize("reverse", [False, True])
-def test_lstm_run_matches_step_tape_bit_for_bit(in_dim, hidden, L, reverse):
-    rng = np.random.default_rng(L + hidden)
+def perturbed_cell(in_dim, hidden, rng):
     cell = LSTMCell(in_dim, hidden, rng)
     for _, p in cell.named_params():
         p.data += rng.normal(0, 0.3, p.shape)
+    return cell
+
+
+# (50, 100) sums dW_hh's 400 rows in a block of 327 and a ragged one of 73;
+# (228, 256) is the paper's tagger, 8 blocks of 128 rows
+@pytest.mark.parametrize("in_dim,hidden", [(16, 24), (50, 100), (228, 256)])
+@pytest.mark.parametrize("L", [1, 7, 40])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_run_matches_step_tape_bit_for_bit(in_dim, hidden, L, reverse):
+    rng = np.random.default_rng(L + hidden)
+    cell = perturbed_cell(in_dim, hidden, rng)
     xs = Tensor(rng.normal(size=(L, in_dim)), requires_grad=True)
     w = rng.normal(size=(L, hidden))
     fused = run_and_grads(lambda x: cell.run(x, reverse), cell, xs, w)
     oracle = run_and_grads(lambda x: step_oracle_run(cell, x, reverse), cell, xs, w)
     for name, a, b in zip(["out", "xs", "W_ih", "W_hh", "b"], fused, oracle):
         assert np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("in_dim,hidden", [(50, 100), (228, 256)])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_lstm_run_adds_to_a_held_W_hh_gradient_bit_for_bit(in_dim, hidden, reverse):
+    """W_hh.grad already holds a gradient when backward() runs, as when an
+    earlier node of the tape has added to it: each step's product is added
+    onto it, latest step first, as the per-step tape adds them."""
+    rng = np.random.default_rng(hidden)
+    cell = perturbed_cell(in_dim, hidden, rng)
+    xs = Tensor(rng.normal(size=(7, in_dim)))
+    w = Tensor(rng.normal(size=(7, hidden)))
+    held = rng.normal(size=cell.W_hh.shape)
+    grads = []
+    for run in (lambda x: cell.run(x, reverse), lambda x: step_oracle_run(cell, x, reverse)):
+        cell.W_hh.grad = held.copy()
+        (run(xs) * w).sum().backward()
+        grads.append(cell.W_hh.grad)
+    assert np.array_equal(grads[0], grads[1])
+    assert not np.array_equal(grads[0], held)
 
 
 def test_lstm_run_honours_requires_grad_and_no_grad():
