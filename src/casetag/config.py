@@ -26,6 +26,10 @@ REGIMES = (REGIME_FIXED, REGIME_FINETUNED, REGIME_SCRATCH)
 
 SCENARIOS = ("cased", "uncased")
 
+# the layer sizes of the truecaser and the tagger
+DIMENSIONS = ("char_emb_dim", "tc_hidden_dim", "word_emb_dim", "ner_char_emb_dim",
+              "cnn_filters", "cnn_width", "ner_hidden_dim")
+
 
 @dataclass
 class RunConfig:
@@ -138,6 +142,7 @@ class RunConfig:
                 ("aux_weight", self.aux_weight >= 0.0, "non-negative"),
                 ("epochs", self.epochs >= 1, "at least 1"),
                 ("patience", self.patience >= 0, "non-negative"),
-                ("max_sentence_chars", self.max_sentence_chars >= 1, "at least 1")):
+                ("max_sentence_chars", self.max_sentence_chars >= 1, "at least 1"),
+                *((key, getattr(self, key) >= 1, "at least 1") for key in DIMENSIONS)):
             if not ok:
                 raise ConfigError(f"{key} must be {rule}, got {getattr(self, key)}")

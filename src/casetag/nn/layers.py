@@ -6,7 +6,10 @@ stable identifiers used by the serialization container.
 
 Each layer has one forward, which training and inference share: inference
 runs it under no_grad, where it records no tape.  LSTMCell.run and CharCNN
-are one tape node each, with hand-written backward passes.
+are one tape node each, with hand-written backward passes.  A BiLSTM is one
+LSTMCell.run over both of its cells: one loop carries a (2, H) state, the
+forward cell's step t and the backward cell's step L-1-t side by side, so
+the per-timestep Python overhead is paid once for the two directions.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from casetag.errors import ConfigError, InputError
-from casetag.nn.tensor import DTYPE, Tensor, _records, _result, concat, sigmoid_np, zeros
+from casetag.nn.tensor import DTYPE, Tensor, _records, _result, sigmoid_np, zeros
 
 # elements of an LSTM's dW_hh summed per row block in its backward pass
 OUTER_BLOCK = 32768
@@ -70,96 +73,135 @@ class LSTMCell:
         b[hidden_dim:2 * hidden_dim] = 1.0
         self.b = Tensor(b, requires_grad=True)
 
-    def _scan(self, xs: np.ndarray, reverse: bool, saved: list | None = None) -> np.ndarray:
-        """The recurrence on numpy arrays, input projections hoisted out of
-        the loop; returns the (L, H) states.  Given a list, appends to it, for
-        each step in the order it ran, what the backward pass reads: the
-        sigmoid of all 4H gate pre-activations (the candidate block's is
-        unused), the candidate tanh, the cell state and its tanh."""
-        H = self.hidden_dim
-        L = xs.shape[0]
-        pre = xs @ self.W_ih.data.T + self.b.data
-        W_hh = self.W_hh.data
-        h = np.zeros(H, dtype=DTYPE)
-        c = np.zeros(H, dtype=DTYPE)
-        out = np.empty((L, H), dtype=DTYPE)
-        for t in (range(L - 1, -1, -1) if reverse else range(L)):
-            gates = pre[t] + W_hh @ h
+    @staticmethod
+    def _scan(runs: tuple, xs: np.ndarray, saved: list | None = None) -> np.ndarray:
+        """The recurrence of the B cells of runs, each a (cell, reverse) pair,
+        in one loop over numpy arrays; returns the (L, B, H) states in step
+        order, so row t holds each cell's t-th step (position L-1-t for a
+        reversed cell).  The input projections are hoisted out of the loop;
+        each cell keeps its own W_hh @ h, and the gate arithmetic runs once
+        over the (B, .) rows.  Given a list, appends to it, for each step,
+        what the backward pass reads: the sigmoid of all 4H gate
+        pre-activations (the candidate block's is unused), the candidate
+        tanh, the cell state and its tanh."""
+        H = runs[0][0].hidden_dim
+        L, B = xs.shape[0], len(runs)
+        pre = np.empty((L, B, 4 * H), dtype=DTYPE)
+        for b, (cell, reverse) in enumerate(runs):
+            p = xs @ cell.W_ih.data.T + cell.b.data
+            pre[:, b] = p[::-1] if reverse else p
+        h = np.zeros((B, H), dtype=DTYPE)
+        c = np.zeros((B, H), dtype=DTYPE)
+        gates = np.empty((B, 4 * H), dtype=DTYPE)
+        # each cell's W_hh with its rows of h and of gates
+        matvecs = [(cell.W_hh.data, h_b, gates_b)
+                   for (cell, _), h_b, gates_b in zip(runs, h, gates)]
+        states = np.empty((L, B, H), dtype=DTYPE)
+        for t in range(L):
+            for W, h_b, gates_b in matvecs:
+                np.matmul(W, h_b, out=gates_b)
+            np.add(pre[t], gates, out=gates)
             s = sigmoid_np(gates)
-            g = np.tanh(gates[2 * H:3 * H])
-            c = s[H:2 * H] * c + s[0:H] * g
+            g = np.tanh(gates[:, 2 * H:3 * H])
+            c = s[:, H:2 * H] * c + s[:, 0:H] * g
             tc = np.tanh(c)
-            h = s[3 * H:4 * H] * tc
-            out[t] = h
+            np.multiply(s[:, 3 * H:4 * H], tc, out=h)
+            states[t] = h
             if saved is not None:
                 saved.append((s, g, c, tc))
-        return out
+        return states
 
-    def run(self, xs: Tensor, reverse: bool = False) -> Tensor:
+    def run(self, xs: Tensor, reverse: bool = False, bwd: "LSTMCell | None" = None) -> Tensor:
         """Run over a (L, in_dim) sequence; returns (L, hidden_dim) states.
+        Given a second cell bwd, runs this cell left to right and bwd right
+        to left in the same loop, and returns the (L, 2 * hidden_dim) states
+        of both, this cell's first; the two cells have the same dimensions.
 
-        The whole sequence is one tape node whose backward is hand-written
+        The whole run is one tape node whose backward is hand-written
         backpropagation through time.  Forward and backward compute the same
-        floats, in the same order, as a tape of one node per operation: the
-        hoisted projections `pre = xs @ W_ih.T + b`, then at each step
-        `pre[t] + W_hh @ h` and the gate operations (sigmoid of i, f, o, tanh
-        of the candidate, c = f*c + i*g, h = o*tanh(c)).  So training is
+        floats, in the same order, as a tape of one node per operation and
+        cell: the hoisted projections `pre = xs @ W_ih.T + b`, then at each
+        step `pre[t] + W_hh @ h` and the gate operations (sigmoid of i, f, o,
+        tanh of the candidate, c = f*c + i*g, h = o*tanh(c)).  So training is
         bit-identical to that tape.  Per-step activations are kept only when
         the node records a backward."""
-        parents = (xs, self.W_ih, self.W_hh, self.b)
+        runs = ((self, reverse),) if bwd is None else ((self, False), (bwd, True))
+        parents = (xs,) + tuple(p for cell, _ in runs for _, p in cell.named_params())
         saved = [] if _records(parents) else None
-        out = self._scan(xs.data, reverse, saved)
-        node = _result(out, parents)
+        states = self._scan(runs, xs.data, saved)
+        node = _result(np.concatenate(
+            [states[::-1, b] if rev else states[:, b] for b, (_, rev) in enumerate(runs)],
+            axis=1), parents)
         if node.requires_grad:
-            W_ih, W_hh = self.W_ih.data, self.W_hh.data
+            W_ih = [cell.W_ih.data for cell, _ in runs]
+            W_hh = [cell.W_hh.data for cell, _ in runs]
 
             def bw(g):
-                dpre = self._bptt(g, out, saved, W_hh, reverse)
-                if xs.requires_grad:
-                    xs._accumulate(dpre @ W_ih)
-                if self.W_ih.requires_grad:
-                    self.W_ih._accumulate((xs.data.T @ dpre).T)
-                if self.b.requires_grad:
-                    self.b._accumulate(dpre.sum(axis=0))
+                dpres = self._bptt(runs, g, states, saved, W_hh)
+                for (cell, _), W, dpre in zip(runs, W_ih, dpres):
+                    if xs.requires_grad:
+                        xs._accumulate(dpre @ W)
+                    if cell.W_ih.requires_grad:
+                        cell.W_ih._accumulate((xs.data.T @ dpre).T)
+                    if cell.b.requires_grad:
+                        cell.b._accumulate(dpre.sum(axis=0))
             node._backward = bw
         return node
 
-    def _bptt(self, g: np.ndarray, out: np.ndarray, saved: list, W_hh: np.ndarray,
-              reverse: bool) -> np.ndarray:
-        """Gradient of the (L, 4H) gate pre-activations, in time order, from
-        the gradient g of the states; adds dW_hh into W_hh.grad.  Each
-        product keeps the tape's grouping: sigmoid' is (g*s)*(1-s) and tanh'
-        is g*(1-t*t)."""
-        H = self.hidden_dim
-        L = out.shape[0]
-        S, G, C, TC = (np.stack(a) for a in zip(*saved))
-        hs = out[::-1] if reverse else out
-        gs = g[::-1] if reverse else g
-        zero = np.zeros((1, H), dtype=DTYPE)
+    @staticmethod
+    def _bptt(runs: tuple, g: np.ndarray, states: np.ndarray, saved: list,
+              W_hh: list) -> list:
+        """Each cell's gradient of its (L, 4H) gate pre-activations, in time
+        order, from the gradient g of run()'s output, walking the steps of
+        all cells in one loop; adds each cell's dW_hh into its W_hh.grad.
+        Each product keeps the tape's grouping: sigmoid' is (g*s)*(1-s) and
+        tanh' is g*(1-t*t)."""
+        H = runs[0][0].hidden_dim
+        L, B = states.shape[0], len(runs)
+        S, G, C, TC = (np.array(a) for a in zip(*saved))
+        gs = np.empty((L, B, H), dtype=DTYPE)
+        for b, (_, reverse) in enumerate(runs):
+            gb = g[:, b * H:(b + 1) * H]
+            gs[:, b] = gb[::-1] if reverse else gb
+        zero = np.zeros((1, B, H), dtype=DTYPE)
         # per gate block, the factor its upstream gradient is multiplied by
         # first: i <- dc*g, f <- dc*c_prev, candidate <- dc*i, o <- dh*tanh(c)
-        first = np.concatenate([G, np.concatenate([zero, C[:-1]]), S[:, 0:H], TC], axis=1)
+        first = np.concatenate([G, np.concatenate([zero, C[:-1]]), S[..., 0:H], TC], axis=2)
         # then s and (1-s) for the sigmoid blocks, 1 and (1-g*g) for the candidate
         second = S.copy()
-        second[:, 2 * H:3 * H] = 1.0
+        second[..., 2 * H:3 * H] = 1.0
         third = 1.0 - S
-        third[:, 2 * H:3 * H] = 1.0 - G * G
+        third[..., 2 * H:3 * H] = 1.0 - G * G
         dtanh_c = 1.0 - TC * TC
-        dpre = np.empty((L, 4 * H), dtype=DTYPE)
-        dh_next = dc_next = None
+        S_f, S_o = S[..., H:2 * H], S[..., 3 * H:]
+        ds = np.empty((L, B, 4 * H), dtype=DTYPE)
+        d = np.empty((B, 4 * H), dtype=DTYPE)
+        dh_next = np.empty((B, H), dtype=DTYPE)
+        # each cell's W_hh.T with its rows of d and of dh_next
+        matvecs = [(W.T, d_b, dh_b) for W, d_b, dh_b in zip(W_hh, d, dh_next)]
+        dc_next = None
         for k in range(L - 1, -1, -1):
-            dh = gs[k] if dh_next is None else gs[k] + dh_next
-            dc = (dh * S[k, 3 * H:]) * dtanh_c[k]
+            dh = gs[k] if dc_next is None else gs[k] + dh_next
+            dc = (dh * S_o[k]) * dtanh_c[k]
             if dc_next is not None:
                 dc = dc + dc_next
-            d = np.concatenate((dc, dc, dc, dh)) * first[k] * second[k] * third[k]
-            dpre[L - 1 - k if reverse else k] = d
+            np.concatenate((dc, dc, dc, dh), axis=1, out=d)
+            d *= first[k]
+            d *= second[k]
+            d *= third[k]
+            ds[k] = d
             if k:
-                dh_next = W_hh.T @ d
-                dc_next = dc * S[k, H:2 * H]
-        if self.W_hh.requires_grad:
-            self._add_dW_hh(dpre[::-1] if reverse else dpre, np.concatenate([zero, hs[:-1]]))
-        return dpre
+                for W_T, d_b, dh_b in matvecs:
+                    np.matmul(W_T, d_b, out=dh_b)
+                dc_next = dc * S_f[k]
+        dpres = []
+        for b, (cell, reverse) in enumerate(runs):
+            if cell.W_hh.requires_grad:
+                cell._add_dW_hh(ds[:, b], np.concatenate([zero[:, b], states[:-1, b]]))
+            # a contiguous copy, as each cell's gradient was when the cells ran
+            # apart, so the matmuls of run()'s backward read the same layout
+            dpres.append(np.ascontiguousarray(ds[::-1, b] if reverse else ds[:, b]))
+        return dpres
 
     def _add_dW_hh(self, ds: np.ndarray, h_prev: np.ndarray) -> None:
         """Add the outer products of step k's gate gradient ds[k] and the state
@@ -185,7 +227,8 @@ class LSTMCell:
 
 
 class BiLSTM:
-    """Concatenates forward and backward LSTM states per position, width 2*hidden."""
+    """Concatenates forward and backward LSTM states per position, width
+    2*hidden, as one tape node over both cells."""
 
     def __init__(self, in_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.hidden_dim = hidden_dim
@@ -195,7 +238,7 @@ class BiLSTM:
     def __call__(self, xs: Tensor) -> Tensor:
         if xs.shape[0] == 0:
             raise InputError("BiLSTM over an empty sequence")
-        return concat([self.fwd.run(xs), self.bwd.run(xs, reverse=True)], axis=1)
+        return self.fwd.run(xs, bwd=self.bwd)
 
     def named_params(self):
         out = [("fwd." + n, p) for n, p in self.fwd.named_params()]

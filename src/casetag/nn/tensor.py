@@ -80,8 +80,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # g + 0.0 is the sum zeros + g, -0.0 turned +0.0 included, in one pass
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         if self.data.size != 1:
@@ -264,9 +266,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    """Logistic function that never overflows: exp of -|x| only."""
+    """Logistic function that never overflows: exp of -|x| only.  Picking
+    the numerator before the one division gives the floats of 1/(1+e) and
+    e/(1+e)."""
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax_np(x: np.ndarray, axis: int = -1) -> np.ndarray:

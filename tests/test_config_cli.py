@@ -120,6 +120,15 @@ def test_regime_without_predicted_mode_is_a_config_error(tmp_path, capsys):
     ("prep-corpus", "--caps-threshold", "1.5"),
     ("train-ner", "--patience", "-1"),
     ("train-ner", "--aux-weight", "-1"),
+    ("train-truecaser", "--tc-hidden-dim", "0"),
+    ("train-truecaser", "--tc-hidden-dim", "-3"),
+    ("train-truecaser", "--char-emb-dim", "0"),
+    ("train-ner", "--ner-hidden-dim", "0"),
+    ("train-ner", "--ner-hidden-dim", "-2"),
+    ("train-ner", "--ner-char-emb-dim", "0"),
+    ("train-ner", "--word-emb-dim", "0"),
+    ("train-ner", "--cnn-filters", "0"),
+    ("train-ner", "--cnn-width", "0"),
 ])
 def test_out_of_range_number_is_a_config_error(tmp_path, capsys, command, flag, value):
     corpus, stats, conll = tmp_path / "c.txt", tmp_path / "s.tsv", tmp_path / "t.conll"

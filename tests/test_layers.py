@@ -14,6 +14,7 @@ from casetag.nn import (
     Linear,
     LSTMCell,
     Tensor,
+    concat,
     cross_entropy,
     dropout,
     gradient_check,
@@ -21,6 +22,7 @@ from casetag.nn import (
     prefixed,
     zeros,
 )
+from casetag.nn.tensor import _toposort
 
 from cnn_oracle import per_token_cnn
 from tape_oracles import lstm_step, stack
@@ -275,11 +277,11 @@ def test_lstm_run_keeps_activations_only_when_recording(monkeypatch):
     kept = []
     scan = LSTMCell._scan
 
-    def recording_scan(self, xs, reverse, saved=None):
+    def recording_scan(runs, xs, saved=None):
         kept.append(saved)
-        return scan(self, xs, reverse, saved)
+        return scan(runs, xs, saved)
 
-    monkeypatch.setattr(LSTMCell, "_scan", recording_scan)
+    monkeypatch.setattr(LSTMCell, "_scan", staticmethod(recording_scan))
     cell.run(xs)
     with no_grad():
         cell.run(xs)
@@ -347,6 +349,131 @@ def test_bilstm_rejects_empty_sequence():
     bi = BiLSTM(3, 2, np.random.default_rng(0))
     with pytest.raises(InputError):
         bi(Tensor(np.zeros((0, 3))))
+
+
+# -- bilstm node ------------------------------------------------------------------
+
+def bilstm_oracle(bi, xs):
+    """The BiLSTM as two per-step tapes and a concat of their states."""
+    return concat([step_oracle_run(bi.fwd, xs), step_oracle_run(bi.bwd, xs, reverse=True)],
+                  axis=1)
+
+
+def perturbed_bilstm(in_dim, hidden, rng):
+    bi = BiLSTM(in_dim, hidden, rng)
+    for _, p in bi.named_params():
+        p.data += rng.normal(0, 0.3, p.shape)
+    return bi
+
+
+def bilstm_and_grads(forward, bi, xs, w, held=None):
+    """The output and the gradients of xs and of the six parameters after one
+    backward(); `held` maps parameter names to a gradient they start with
+    instead of None."""
+    for name, p in bi.named_params():
+        start = (held or {}).get(name)
+        p.grad = None if start is None else start.copy()
+    xs.grad = None
+    out = forward(xs)
+    (out * Tensor(w)).sum().backward()
+    return [out.data, xs.grad] + [p.grad for _, p in bi.named_params()]
+
+
+BILSTM_GRADS = ["out", "xs", "fwd.W_ih", "fwd.W_hh", "fwd.b", "bwd.W_ih", "bwd.W_hh", "bwd.b"]
+
+
+def assert_same_bits(fused, oracle):
+    for name, a, b in zip(BILSTM_GRADS, fused, oracle):
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert np.array_equal(a, b), name
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+# (3, 2) has gate blocks narrower than a SIMD register; (228, 256) is the
+# paper's tagger, whose dW_hh sum runs over 8 row blocks
+@pytest.mark.parametrize("in_dim,hidden", [(16, 24), (40, 24), (228, 256), (3, 2)])
+@pytest.mark.parametrize("L", [1, 2, 7, 40])
+def test_bilstm_node_matches_two_step_tapes_bit_for_bit(in_dim, hidden, L):
+    rng = np.random.default_rng(3 * L + hidden)
+    bi = perturbed_bilstm(in_dim, hidden, rng)
+    xs = Tensor(rng.normal(size=(L, in_dim)), requires_grad=True)
+    w = rng.normal(size=(L, 2 * hidden))
+    w[rng.random(w.shape) < 0.2] = 0.0
+    fused = bilstm_and_grads(bi, bi, xs, w)
+    oracle = bilstm_and_grads(lambda x: bilstm_oracle(bi, x), bi, xs, w)
+    assert all(a is not None for a in fused)
+    assert_same_bits(fused, oracle)
+
+
+@pytest.mark.parametrize("held", ["fwd.W_hh", "bwd.W_hh"])
+def test_bilstm_node_adds_to_a_W_hh_gradient_held_by_one_direction(held):
+    rng = np.random.default_rng(len(held))
+    bi = perturbed_bilstm(50, 100, rng)
+    xs = Tensor(rng.normal(size=(7, 50)), requires_grad=True)
+    w = rng.normal(size=(7, 200))
+    start = rng.normal(size=(400, 100))
+    fused = bilstm_and_grads(bi, bi, xs, w, {held: start})
+    oracle = bilstm_and_grads(lambda x: bilstm_oracle(bi, x), bi, xs, w, {held: start})
+    assert_same_bits(fused, oracle)
+    assert not np.array_equal(fused[BILSTM_GRADS.index(held)], start)
+
+
+def test_bilstm_node_leaves_an_input_without_requires_grad_alone():
+    rng = np.random.default_rng(8)
+    bi = perturbed_bilstm(5, 4, rng)
+    xs = Tensor(rng.normal(size=(6, 5)))
+    w = rng.normal(size=(6, 8))
+    fused = bilstm_and_grads(bi, bi, xs, w)
+    oracle = bilstm_and_grads(lambda x: bilstm_oracle(bi, x), bi, xs, w)
+    assert fused[1] is None
+    assert_same_bits(fused, oracle)
+
+
+@pytest.mark.parametrize("frozen", [("fwd",), ("bwd",), ("fwd", "bwd")])
+def test_bilstm_node_with_frozen_cells(frozen):
+    rng = np.random.default_rng(len(frozen))
+    bi = perturbed_bilstm(5, 4, rng)
+    for name, p in bi.named_params():
+        p.requires_grad = name.split(".")[0] not in frozen
+    xs = Tensor(rng.normal(size=(6, 5)), requires_grad=True)
+    w = rng.normal(size=(6, 8))
+    fused = bilstm_and_grads(bi, bi, xs, w)
+    oracle = bilstm_and_grads(lambda x: bilstm_oracle(bi, x), bi, xs, w)
+    assert_same_bits(fused, oracle)
+    assert [g is None for g in fused[2:]] == [n.split(".")[0] in frozen for n in BILSTM_GRADS[2:]]
+    xs.requires_grad = False
+    if len(frozen) == 2:
+        assert not bi(xs).requires_grad
+
+
+def test_bilstm_node_records_nothing_under_no_grad():
+    rng = np.random.default_rng(9)
+    bi = perturbed_bilstm(3, 4, rng)
+    xs = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    with no_grad():
+        out = bi(xs)
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert np.array_equal(out.data, bi(xs).data)
+
+
+def test_bilstm_is_one_tape_node_per_call():
+    rng = np.random.default_rng(10)
+    bi = perturbed_bilstm(3, 4, rng)
+    xs = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    out = bi(xs)
+    params = [p for _, p in bi.named_params()]
+    assert out._parents == (xs, *params)
+    assert [node for node in _toposort(out) if node._parents] == [out]
+
+
+def test_bilstm_node_gradient_check():
+    rng = np.random.default_rng(19)
+    bi = BiLSTM(3, 2, rng)
+    xs = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 4)))
+    report = gradient_check(lambda: (bi(xs) * w).sum(), prefixed("bi", bi) + [("xs", xs)])
+    assert report.max_error <= 1e-4
 
 
 # -- char cnn --------------------------------------------------------------------
