@@ -7,7 +7,9 @@ sha256 of every file it leaves and of every command's stdout and stderr.
 The steps: make_fixtures.py; prep-stats and prep-corpus; train-truecaser at
 dropout 0.25 and 0.0; train-ner with a dev file in case modes none and gold
 and in predicted mode with the fixed, finetuned (--patience 1) and scratch
-regimes; then truecase, tag and eval-ner.  Every path is relative to the
+regimes; then eval-truecaser, truecase, tag and eval-ner.  The truecaser's
+learning rate is high enough that it predicts capitals on the test file, so
+truecase runs its uppercase path.  Every path is relative to the
 temporary directory, so two runs of the same code print the same lines, and
 two versions of the code that train the same bytes print the same lines.
 Compare the output of two checkouts with diff.  Exits 1 if a command fails.
@@ -26,7 +28,7 @@ from casetag.cli import main as casetag_main
 FIXTURES = Path(__file__).resolve().parent / "make_fixtures.py"
 
 TC = ["--epochs", "3", "--seed", "1", "--char-emb-dim", "24", "--tc-hidden-dim", "32",
-      "--min-char-freq", "1"]
+      "--min-char-freq", "1", "--lr", "0.01"]
 NER = ["--train", "fx/ner_train.conll", "--dev", "fx/ner_test.conll", "--epochs", "2",
        "--seed", "1", "--word-emb-dim", "16", "--ner-char-emb-dim", "16",
        "--cnn-filters", "16", "--ner-hidden-dim", "16", "--char-emb-dim", "24",
@@ -47,6 +49,7 @@ STEPS = [
                        "--regime", "finetuned", "--patience", "1"]),
     ("ner-scratch", ["train-ner", *NER, "--output", "scratch.ctr", "--case-mode", "predicted",
                      "--regime", "scratch"]),
+    ("eval-tc", ["eval-truecaser", "--model", "tc.ctr", "--gold", "fx/truecaser_test.txt"]),
     ("truecase", ["truecase", "--model", "tc.ctr", "--input", "fx/truecaser_test.txt",
                   "--lowercase", "--output", "truecased.txt"]),
     ("tag", ["tag", "--model", "fixed.ctr", "--input", "fx/ner_test.conll", "--lowercase",

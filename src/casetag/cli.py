@@ -199,7 +199,7 @@ def cmd_truecase(cfg: RunConfig) -> int:
     model = Truecaser.load(cfg.model)
     out = []
     for line in text_lines(cfg.input):
-        text = lowercase_keep_length(line)[0] if cfg.lowercase else line
+        text = lowercase_keep_length(line) if cfg.lowercase else line
         out.append(apply_truecaser(model, text) if text else text)
     if cfg.output:
         _write_lines(cfg.output, out)

@@ -100,33 +100,31 @@ def crf_nll(emissions: Tensor, tags, crf: Crf) -> Tensor:
     parents = (emissions, crf.trans, crf.start, crf.end)
     weights = [] if _records(parents) else None
     log_z, final = _forward(em, trans, start, end, weights)
+
+    def bw(g):
+        g = float(g)
+        dem = np.empty_like(em)
+        dalpha = final * g
+        dend = dalpha.copy()
+        dtrans = None
+        for t in range(L - 1, 0, -1):
+            dem[t] = dalpha
+            dscores = weights[t - 1] * dalpha[None, :]
+            dtrans = dscores if dtrans is None else dtrans + dscores
+            dalpha = dscores.sum(axis=1)
+        dem[0] = dalpha
+        dstart = dalpha.copy()
+        dem[np.arange(L), tags] -= g
+        dstart[tags[0]] -= g
+        dend[tags[-1]] -= g
+        if dtrans is not None:  # a single token reaches no transition
+            np.subtract.at(dtrans, (tags[:-1], tags[1:]), g)  # a pair may repeat
+        for p, d in zip(parents, (dem, dtrans, dstart, dend)):
+            if p.requires_grad and d is not None:
+                p._accumulate(d)
     # log Z rounds no lower than the gold score: both add in the same order,
     # each step's log(tot) >= 0 and rounding is monotone
-    node = _result(np.asarray(log_z - _gold_score(em, trans, start, end, tags)), parents)
-    if node.requires_grad:
-        def bw(g):
-            g = float(g)
-            dem = np.empty_like(em)
-            dalpha = final * g
-            dend = dalpha.copy()
-            dtrans = None
-            for t in range(L - 1, 0, -1):
-                dem[t] = dalpha
-                dscores = weights[t - 1] * dalpha[None, :]
-                dtrans = dscores if dtrans is None else dtrans + dscores
-                dalpha = dscores.sum(axis=1)
-            dem[0] = dalpha
-            dstart = dalpha.copy()
-            dem[np.arange(L), tags] -= g
-            dstart[tags[0]] -= g
-            dend[tags[-1]] -= g
-            if dtrans is not None:  # a single token reaches no transition
-                np.subtract.at(dtrans, (tags[:-1], tags[1:]), g)  # a pair may repeat
-            for p, d in zip(parents, (dem, dtrans, dstart, dend)):
-                if p.requires_grad and d is not None:
-                    p._accumulate(d)
-        node._backward = bw
-    return node
+    return _result(np.asarray(log_z - _gold_score(em, trans, start, end, tags)), parents, bw)
 
 
 def viterbi_decode(emissions, crf: Crf) -> list[int]:

@@ -69,11 +69,10 @@ from casetag.nn import (
 from casetag.nn.tensor import _result
 from casetag.truecaser import (
     CharVocab,
-    LOWER,
     TrainStats,
     Truecaser,
-    UPPER,
     case_distributions_for_tokens,
+    case_labels,
     fit,
     lowercase_keep_length,
 )
@@ -94,7 +93,7 @@ class NerExample:
 
 def lowercase_example(example: NerExample) -> NerExample:
     return NerExample(
-        tokens=[lowercase_keep_length(tok)[0] for tok in example.tokens],
+        tokens=[lowercase_keep_length(tok) for tok in example.tokens],
         tags=list(example.tags),
         cased_tokens=list(example.source_tokens()))
 
@@ -137,17 +136,13 @@ class EmbeddingTable:
         rows = np.empty((len(ids), self.dim), dtype=np.float64)
         rows[known] = self.vectors.data[ids[known]]
         rows[~known] = self.unk.data
-        out = _result(rows, [self.vectors] * any_known + [self.unk] * any_unknown)
-        if out.requires_grad:
-            def bw(g):
-                if any_known and self.vectors.requires_grad:
-                    if self.vectors.grad is None:
-                        self.vectors.grad = np.zeros_like(self.vectors.data)
-                    np.add.at(self.vectors.grad, ids[known], g[known])
-                if any_unknown and self.unk.requires_grad:
-                    self.unk._accumulate(g[~known].sum(axis=0))
-            out._backward = bw
-        return out
+
+        def bw(g):
+            if any_known and self.vectors.requires_grad:
+                np.add.at(self.vectors._grad_buffer(), ids[known], g[known])
+            if any_unknown and self.unk.requires_grad:
+                self.unk._accumulate(g[~known].sum(axis=0))
+        return _result(rows, [self.vectors] * any_known + [self.unk] * any_unknown, bw)
 
     @classmethod
     def random(cls, words: list[str], dim: int, rng: np.random.Generator) -> "EmbeddingTable":
@@ -176,18 +171,16 @@ def build_tagset(dataset: list[NerExample]) -> list[str]:
     return sorted({tag for ex in dataset for tag in ex.tags})
 
 
-def build_char_vocab(dataset: list[NerExample], min_freq: int = 1) -> CharVocab:
+def build_char_vocab(dataset: list[NerExample]) -> CharVocab:
     texts = [" ".join(ex.tokens) for ex in dataset]
     texts += [" ".join(ex.source_tokens()) for ex in dataset]
-    return CharVocab.build(texts, min_freq=min_freq)
+    return CharVocab.build(texts)
 
 
-def gold_case_vectors(cased_token: str) -> np.ndarray:
-    """One-hot casing rows: (1,0) for an uppercase character, (0,1) otherwise."""
-    rows = np.zeros((len(cased_token), 2), dtype=np.float64)
-    for i, ch in enumerate(cased_token):
-        rows[i, UPPER if ch.isupper() else LOWER] = 1.0
-    return rows
+def gold_case_vectors(text: str) -> np.ndarray:
+    """One-hot casing rows of case_labels(text): (1,0) for an uppercase
+    character, (0,1) otherwise."""
+    return np.eye(2)[case_labels(text)]
 
 
 # container meta key -> RunConfig field of each tagger dimension; the keys
@@ -292,7 +285,7 @@ class NerModel:
         c.sections["char_vocab"] = self.char_vocab.to_lines()
         store_params(c, self.named_params())
         if self.truecaser is not None:
-            self.truecaser.to_container(c, prefix="tc")
+            self.truecaser.to_container(c)
         return c
 
     def save(self, path: str) -> None:
@@ -309,7 +302,7 @@ class NerModel:
         table = EmbeddingTable(words, np.zeros((len(words), dim)), np.zeros(dim), trainable)
         truecaser = None
         if "tc.vocab" in c.sections:
-            truecaser = Truecaser.from_container(c, prefix="tc")
+            truecaser = Truecaser.from_container(c)
         char_vocab = CharVocab.from_lines(c.get_section("char_vocab"),
                                           f"{c.path} section char_vocab")
         model = cls(table, c.get_section("tags"), char_vocab, cfg, truecaser=truecaser)
@@ -357,7 +350,7 @@ def train_ner(dataset: list[NerExample], model: NerModel,
     aux_active = cfg.regime != REGIME_FIXED
     stats = stats if stats is not None else TrainStats()
 
-    trained = model.named_params() + (model.truecaser.named_params("tc") if aux_active else [])
+    trained = model.named_params() + (model.truecaser.named_params() if aux_active else [])
     # a frozen truecaser gives the same distributions for the same text, so
     # one forward per distinct sentence serves every epoch and dev pass
     case_cache = {} if cfg.case_mode == MODE_PREDICTED and not aux_active else None

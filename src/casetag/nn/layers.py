@@ -129,24 +129,21 @@ class LSTMCell:
         parents = (xs,) + tuple(p for cell, _ in runs for _, p in cell.named_params())
         saved = [] if _records(parents) else None
         states = self._scan(runs, xs.data, saved)
-        node = _result(np.concatenate(
-            [states[::-1, b] if rev else states[:, b] for b, (_, rev) in enumerate(runs)],
-            axis=1), parents)
-        if node.requires_grad:
-            W_ih = [cell.W_ih.data for cell, _ in runs]
-            W_hh = [cell.W_hh.data for cell, _ in runs]
+        W_ih = [cell.W_ih.data for cell, _ in runs]
+        W_hh = [cell.W_hh.data for cell, _ in runs]
 
-            def bw(g):
-                dpres = self._bptt(runs, g, states, saved, W_hh)
-                for (cell, _), W, dpre in zip(runs, W_ih, dpres):
-                    if xs.requires_grad:
-                        xs._accumulate(dpre @ W)
-                    if cell.W_ih.requires_grad:
-                        cell.W_ih._accumulate((xs.data.T @ dpre).T)
-                    if cell.b.requires_grad:
-                        cell.b._accumulate(dpre.sum(axis=0))
-            node._backward = bw
-        return node
+        def bw(g):
+            dpres = self._bptt(runs, g, states, saved, W_hh)
+            for (cell, _), W, dpre in zip(runs, W_ih, dpres):
+                if xs.requires_grad:
+                    xs._accumulate(dpre @ W)
+                if cell.W_ih.requires_grad:
+                    cell.W_ih._accumulate((xs.data.T @ dpre).T)
+                if cell.b.requires_grad:
+                    cell.b._accumulate(dpre.sum(axis=0))
+        return _result(np.concatenate(
+            [states[::-1, b] if rev else states[:, b] for b, (_, rev) in enumerate(runs)],
+            axis=1), parents, bw)
 
     @staticmethod
     def _bptt(runs: tuple, g: np.ndarray, states: np.ndarray, saved: list,
@@ -209,9 +206,7 @@ class LSTMCell:
         tape does.  The sum runs over one block of OUTER_BLOCK elements of the
         gradient at a time, so the block stays in cache across the L steps,
         and each element gets the same products added in the same order."""
-        if self.W_hh.grad is None:
-            self.W_hh.grad = np.zeros_like(self.W_hh.data)
-        dW = self.W_hh.grad
+        dW = self.W_hh._grad_buffer()
         H = self.hidden_dim
         rows = max(1, OUTER_BLOCK // H)
         scratch = np.empty((min(rows, 4 * H), H), dtype=DTYPE)
@@ -286,24 +281,22 @@ class CharCNN:
         windows = padded[src].reshape(P, self.width * d)
         W = self.W.data
         acts = np.tanh(windows @ W.T + self.b.data)  # (P, filters)
-        node = _result(np.maximum.reduceat(acts, firsts, axis=0), (chars, self.W, self.b))
-        if node.requires_grad:
-            def bw(g):
-                dz = np.zeros_like(acts)
-                cols = np.arange(self.filters)
-                for first, length, gk in zip(firsts, lengths, g):
-                    dz[first + np.argmax(acts[first:first + length], axis=0), cols] = gk
-                dz *= 1.0 - acts * acts
-                if self.W.requires_grad:
-                    self.W._accumulate((windows.T @ dz).T)
-                if self.b.requires_grad:
-                    self.b._accumulate(dz.sum(axis=0))
-                if chars.requires_grad:
-                    dpadded = np.zeros_like(padded)
-                    np.add.at(dpadded, src, (dz @ W).reshape(P, self.width, d))
-                    chars._accumulate(dpadded[1:])
-            node._backward = bw
-        return node
+
+        def bw(g):
+            dz = np.zeros_like(acts)
+            cols = np.arange(self.filters)
+            for first, length, gk in zip(firsts, lengths, g):
+                dz[first + np.argmax(acts[first:first + length], axis=0), cols] = gk
+            dz *= 1.0 - acts * acts
+            if self.W.requires_grad:
+                self.W._accumulate((windows.T @ dz).T)
+            if self.b.requires_grad:
+                self.b._accumulate(dz.sum(axis=0))
+            if chars.requires_grad:
+                dpadded = np.zeros_like(padded)
+                np.add.at(dpadded, src, (dz @ W).reshape(P, self.width, d))
+                chars._accumulate(dpadded[1:])
+        return _result(np.maximum.reduceat(acts, firsts, axis=0), (chars, self.W, self.b), bw)
 
     def named_params(self):
         return [("W", self.W), ("b", self.b)]

@@ -5,6 +5,14 @@ and a closure routing the output gradient back to them.  backward() on a
 scalar walks the tape in reverse topological order.  Everything is float64;
 there is no broadcasting beyond what the layers in this package need.
 
+How a node records: every op computes its output array, defines its
+backward closure and returns _result(data, parents, backward).  _result
+alone decides whether the node records: under grad mode, when some parent
+requires a gradient, the node keeps the parents and the closure; otherwise
+it is a constant and the closure is dropped.  A backward hands each parent
+that requires a gradient its share through _accumulate, or adds into the
+array that _grad_buffer() returns, zero-filled on first touch, in place.
+
 The general ops (arithmetic, indexing, transpose, sum, concat) serve the
 affine layers, lookups and dropout.  Each loss and recurrence is one node
 with a hand-written backward (cross_entropy here; LSTMCell.run and CharCNN
@@ -85,6 +93,13 @@ class Tensor:
         else:
             self.grad += g
 
+    def _grad_buffer(self) -> np.ndarray:
+        """The gradient, zero-filled on first touch, for a backward that adds
+        into it in place."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.data)
+        return self.grad
+
     def backward(self) -> None:
         if self.data.size != 1:
             raise InputError(f"backward() needs a scalar loss, got shape {self.data.shape}")
@@ -101,106 +116,68 @@ class Tensor:
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = _result(self.data + other.data, (self, other))
-        if out.requires_grad:
-            def bw(g, a=self, b=other):
-                if a.requires_grad:
-                    a._accumulate(_unbroadcast(g, a.data.shape))
-                if b.requires_grad:
-                    b._accumulate(_unbroadcast(g, b.data.shape))
-            out._backward = bw
-        return out
+
+        def bw(g):
+            for t in (self, other):
+                if t.requires_grad:
+                    t._accumulate(_unbroadcast(g, t.data.shape))
+        return _result(self.data + other.data, (self, other), bw)
 
     def __neg__(self):
-        out = _result(-self.data, (self,))
-        if out.requires_grad:
-            def bw(g, a=self):
-                a._accumulate(-g)
-            out._backward = bw
-        return out
+        return _result(-self.data, (self,), lambda g: self._accumulate(-g))
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = _result(self.data * other.data, (self, other))
-        if out.requires_grad:
-            def bw(g, a=self, b=other):
-                if a.requires_grad:
-                    a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-                if b.requires_grad:
-                    b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-            out._backward = bw
-        return out
+
+        def bw(g):
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+        return _result(self.data * other.data, (self, other), bw)
 
     def __matmul__(self, other):
         other = as_tensor(other)
         a, b = self.data, other.data
-        out = _result(a @ b, (self, other))
-        if out.requires_grad:
-            def bw(g, sa=self, sb=other, a=a, b=b):
-                if a.ndim == 2 and b.ndim == 2:
-                    ga, gb = g @ b.T, a.T @ g
-                elif a.ndim == 2 and b.ndim == 1:
-                    ga, gb = np.outer(g, b), a.T @ g
-                elif a.ndim == 1 and b.ndim == 2:
-                    ga, gb = b @ g, np.outer(a, g)
-                else:
-                    ga, gb = g * b, g * a
-                if sa.requires_grad:
-                    sa._accumulate(ga)
-                if sb.requires_grad:
-                    sb._accumulate(gb)
-            out._backward = bw
-        return out
+
+        def bw(g):
+            if a.ndim == 2 and b.ndim == 2:
+                ga, gb = g @ b.T, a.T @ g
+            elif a.ndim == 2 and b.ndim == 1:
+                ga, gb = np.outer(g, b), a.T @ g
+            elif a.ndim == 1 and b.ndim == 2:
+                ga, gb = b @ g, np.outer(a, g)
+            else:
+                ga, gb = g * b, g * a
+            if self.requires_grad:
+                self._accumulate(ga)
+            if other.requires_grad:
+                other._accumulate(gb)
+        return _result(a @ b, (self, other), bw)
 
     # -- shape ops --------------------------------------------------------
 
     def __getitem__(self, idx):
-        out = _result(self.data[idx], (self,))
-        if out.requires_grad:
-            def bw(g, a=self, idx=idx, basic=_is_basic_index(idx)):
-                if a.grad is None:
-                    a.grad = np.zeros_like(a.data)
-                if basic:
-                    a.grad[idx] += g
-                else:
-                    np.add.at(a.grad, idx, g)  # fancy indices may repeat a row
-            out._backward = bw
-        return out
-
-    def transpose(self):
-        out = _result(self.data.T, (self,))
-        if out.requires_grad:
-            def bw(g, a=self):
-                a._accumulate(g.T)
-            out._backward = bw
-        return out
+        # np.add.at, since fancy indices may repeat a row
+        return _result(self.data[idx], (self,),
+                       lambda g: np.add.at(self._grad_buffer(), idx, g))
 
     @property
     def T(self):
-        return self.transpose()
+        return _result(self.data.T, (self,), lambda g: self._accumulate(g.T))
 
     # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None):
-        out = _result(self.data.sum(axis=axis), (self,))
-        if out.requires_grad:
-            def bw(g, a=self, axis=axis):
-                if axis is None:
-                    a._accumulate(np.full_like(a.data, float(g)))
-                else:
-                    a._accumulate(np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy())
-            out._backward = bw
-        return out
-
-
-def _is_basic_index(idx) -> bool:
-    """True for an int, a slice, or a tuple of those: indices that select
-    each element at most once."""
-    parts = idx if isinstance(idx, tuple) else (idx,)
-    return all(isinstance(p, (int, slice)) and not isinstance(p, bool) for p in parts)
+        def bw(g):
+            if axis is None:
+                self._accumulate(np.full_like(self.data, float(g)))
+            else:
+                self._accumulate(np.broadcast_to(np.expand_dims(g, axis), self.data.shape).copy())
+        return _result(self.data.sum(axis=axis), (self,), bw)
 
 
 def _records(parents: Sequence[Tensor]) -> bool:
@@ -208,11 +185,15 @@ def _records(parents: Sequence[Tensor]) -> bool:
     return _GradMode.enabled and any(p.requires_grad for p in parents)
 
 
-def _result(data: np.ndarray, parents: Sequence[Tensor]) -> Tensor:
+def _result(data: np.ndarray, parents: Sequence[Tensor],
+            backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The node of one op: a Tensor over data that, when it records, keeps
+    its parents and backward(g), which routes its gradient g to them."""
     out = Tensor(data)
     if _records(parents):
         out.requires_grad = True
         out._parents = tuple(parents)
+        out._backward = backward
     return out
 
 
@@ -245,19 +226,17 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
-    out = _result(np.concatenate([t.data for t in tensors], axis=axis), tensors)
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        def bw(g, ts=tensors, sizes=sizes, axis=axis):
-            start = 0
-            for t, n in zip(ts, sizes):
-                if t.requires_grad:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(start, start + n)
-                    t._accumulate(g[tuple(sl)])
-                start += n
-        out._backward = bw
-    return out
+
+    def bw(g):
+        start = 0
+        for t in tensors:
+            n = t.data.shape[axis]
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(start, start + n)
+                t._accumulate(g[tuple(sl)])
+            start += n
+    return _result(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
 
 
 # -- numpy forms ------------------------------------------------------------
@@ -306,11 +285,9 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     n = len(labels)
     ls = log_softmax_np(logits.data)
     gold = (np.arange(n), labels)
-    node = _result(np.asarray(-(ls[gold].sum() * (1.0 / n))), (logits,))
-    if node.requires_grad:
-        def bw(g):
-            d = np.zeros_like(ls)
-            d[gold] += (-g) * (1.0 / n)
-            logits._accumulate(d - np.exp(ls) * d.sum(axis=-1, keepdims=True))
-        node._backward = bw
-    return node
+
+    def bw(g):
+        d = np.zeros_like(ls)
+        d[gold] += (-g) * (1.0 / n)
+        logits._accumulate(d - np.exp(ls) * d.sum(axis=-1, keepdims=True))
+    return _result(np.asarray(-(ls[gold].sum() * (1.0 / n))), (logits,), bw)

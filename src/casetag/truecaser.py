@@ -42,22 +42,14 @@ def case_labels(text: str) -> np.ndarray:
     return np.array([UPPER if ch.isupper() else LOWER for ch in text], dtype=np.intp)
 
 
-def lowercase_keep_length(text: str) -> tuple[str, int]:
-    """Simple per-character lowercasing.
-
-    Characters whose lowercase form is not a single character are passed
-    through unchanged; the count of such characters is returned.
-    """
+def lowercase_keep_length(text: str) -> str:
+    """Simple per-character lowercasing.  Characters whose lowercase form is
+    not a single character are passed through unchanged."""
     out = []
-    skipped = 0
     for ch in text:
         low = ch.lower()
-        if len(low) == 1:
-            out.append(low)
-        else:
-            out.append(ch)
-            skipped += 1
-    return "".join(out), skipped
+        out.append(low if len(low) == 1 else ch)
+    return "".join(out)
 
 
 def uppercase_char(ch: str) -> str:
@@ -86,7 +78,7 @@ def make_training_example(sentence: str, pass_through_prob: float,
     if pass_through_prob > 0.0 and rng.random() < pass_through_prob:
         chars = sentence
     else:
-        chars, _ = lowercase_keep_length(sentence)
+        chars = lowercase_keep_length(sentence)
     return TruecaserExample(chars, labels)
 
 
@@ -111,8 +103,7 @@ class CharVocab:
         cased (pass-through) and lowercased inputs are covered."""
         counts: dict[str, int] = {}
         for sent in sentences:
-            lowered, _ = lowercase_keep_length(sent)
-            for ch in sent + lowered:
+            for ch in sent + lowercase_keep_length(sent):
                 counts[ch] = counts.get(ch, 0) + 1
         kept = sorted((ch for ch, n in counts.items() if n >= min_freq),
                       key=lambda ch: (-counts[ch], ch))
@@ -147,10 +138,9 @@ class Truecaser:
         self.rnn = BiLSTM(char_emb_dim, hidden_dim, rng)
         self.out = Linear(2 * hidden_dim, 2, rng)
 
-    def named_params(self, prefix: str = "tc"):
-        return (prefixed(f"{prefix}.emb", self.emb)
-                + prefixed(f"{prefix}.rnn", self.rnn)
-                + prefixed(f"{prefix}.out", self.out))
+    def named_params(self):
+        return (prefixed("tc.emb", self.emb) + prefixed("tc.rnn", self.rnn)
+                + prefixed("tc.out", self.out))
 
     def logits(self, text: str, train: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
@@ -180,24 +170,23 @@ class Truecaser:
 
     # -- persistence -------------------------------------------------------
 
-    def to_container(self, container: Container | None = None, prefix: str = "tc") -> Container:
+    def to_container(self, container: Container | None = None) -> Container:
         c = container if container is not None else Container()
-        c.meta[f"{prefix}.char_emb_dim"] = str(self.char_emb_dim)
-        c.meta[f"{prefix}.hidden_dim"] = str(self.hidden_dim)
-        c.meta[f"{prefix}.dropout"] = repr(self.dropout_rate)
-        c.sections[f"{prefix}.vocab"] = self.vocab.to_lines()
-        store_params(c, self.named_params(prefix))
+        c.meta["tc.char_emb_dim"] = str(self.char_emb_dim)
+        c.meta["tc.hidden_dim"] = str(self.hidden_dim)
+        c.meta["tc.dropout"] = repr(self.dropout_rate)
+        c.sections["tc.vocab"] = self.vocab.to_lines()
+        store_params(c, self.named_params())
         return c
 
     @classmethod
-    def from_container(cls, c: Container, prefix: str = "tc") -> "Truecaser":
-        vocab = CharVocab.from_lines(c.get_section(f"{prefix}.vocab"),
-                                     f"{c.path} section {prefix}.vocab")
+    def from_container(cls, c: Container) -> "Truecaser":
+        vocab = CharVocab.from_lines(c.get_section("tc.vocab"), f"{c.path} section tc.vocab")
         model = cls(vocab,
-                    char_emb_dim=c.get_meta(f"{prefix}.char_emb_dim", int),
-                    hidden_dim=c.get_meta(f"{prefix}.hidden_dim", int),
-                    dropout_rate=c.get_meta(f"{prefix}.dropout", float))
-        restore_params(c, model.named_params(prefix))
+                    char_emb_dim=c.get_meta("tc.char_emb_dim", int),
+                    hidden_dim=c.get_meta("tc.hidden_dim", int),
+                    dropout_rate=c.get_meta("tc.dropout", float))
+        restore_params(c, model.named_params())
         return model
 
     def save(self, path: str) -> None:
@@ -305,8 +294,8 @@ def held_out_loss(model: Truecaser, sentences: list[str]) -> float:
         for sent in sentences:
             if not sent:
                 continue
-            lowered, _ = lowercase_keep_length(sent)
-            total += cross_entropy(model.logits(lowered), case_labels(sent)).item() * len(sent)
+            loss = cross_entropy(model.logits(lowercase_keep_length(sent)), case_labels(sent))
+            total += loss.item() * len(sent)
             count += len(sent)
     return total / max(count, 1)
 
@@ -316,11 +305,8 @@ def apply_truecaser(model: Truecaser, text: str) -> str:
     consumed as given (pass-through training makes cased input meaningful)."""
     if not text:
         return text
-    dist = model.distributions(text)
-    out = []
-    for ch, row in zip(text, dist):
-        out.append(uppercase_char(ch) if int(np.argmax(row)) == UPPER else ch)
-    return "".join(out)
+    upper = np.argmax(model.distributions(text), axis=1) == UPPER
+    return "".join(uppercase_char(ch) if up else ch for ch, up in zip(text, upper))
 
 
 def case_distributions_for_tokens(model: Truecaser, tokens: list[str],
@@ -333,7 +319,7 @@ def case_distributions_for_tokens(model: Truecaser, tokens: list[str],
     filled as it goes; it stays valid only while the truecaser is frozen."""
     if not tokens:
         return np.zeros((0, 2))
-    text = " ".join(lowercase_keep_length(tok)[0] for tok in tokens)
+    text = " ".join(lowercase_keep_length(tok) for tok in tokens)
     if cache is None:
         return model.distributions(text)
     dist = cache.get(text)
@@ -345,8 +331,5 @@ def case_distributions_for_tokens(model: Truecaser, tokens: list[str],
 def eval_truecaser(model: Truecaser, cased_sentences: list[str]) -> PrfScore:
     """Char-level P/R/F1 of predictions on the lowercased corpus against the
     original casing."""
-    preds = []
-    for sent in cased_sentences:
-        lowered, _ = lowercase_keep_length(sent)
-        preds.append(apply_truecaser(model, lowered))
+    preds = [apply_truecaser(model, lowercase_keep_length(sent)) for sent in cased_sentences]
     return char_f1(cased_sentences, preds)

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from casetag.crf import Crf, _check_emissions
+from casetag.crf import Crf, _check_emissions, _gold_tags
 from casetag.errors import InputError
 from casetag.nn.tensor import Tensor, _result
 
@@ -26,31 +26,16 @@ def logsumexp(t: Tensor, axis: int | None = None) -> Tensor:
     s = np.exp(t.data - m)
     tot = np.sum(s, axis=axis, keepdims=True)
     data = np.log(tot) + m
-    if axis is None:
-        data = data.reshape(())
-    else:
-        data = data.squeeze(axis)
-    out = _result(data, (t,))
-    if out.requires_grad:
-        soft = s / tot
-        def bw(g, a=t, soft=soft, axis=axis):
-            if axis is None:
-                a._accumulate(soft * float(g))
-            else:
-                a._accumulate(soft * np.expand_dims(g, axis))
-        out._backward = bw
-    return out
+    data = data.reshape(()) if axis is None else data.squeeze(axis)
+
+    def bw(g):
+        t._accumulate(s / tot * (float(g) if axis is None else np.expand_dims(g, axis)))
+    return _result(data, (t,), bw)
 
 
 def reshape(t: Tensor, shape: tuple) -> Tensor:
     """Tape node: t's data in a new shape."""
-    orig = t.data.shape
-    out = _result(t.data.reshape(shape), (t,))
-    if out.requires_grad:
-        def bw(g, a=t, orig=orig):
-            a._accumulate(g.reshape(orig))
-        out._backward = bw
-    return out
+    return _result(t.data.reshape(shape), (t,), lambda g: t._accumulate(g.reshape(t.data.shape)))
 
 
 def log_partition(emissions: Tensor, crf: Crf) -> Tensor:
@@ -66,12 +51,8 @@ def log_partition(emissions: Tensor, crf: Crf) -> Tensor:
 
 def gold_path_score(emissions: Tensor, tags, crf: Crf) -> Tensor:
     """Score of one tag sequence, accumulated in the same order as the forward recursion."""
-    tags = np.asarray(tags, dtype=np.intp)
     L = emissions.shape[0]
-    if len(tags) != L:
-        raise InputError(f"gold sequence length {len(tags)} vs {L} emission rows")
-    if len(tags) and (tags.min() < 0 or tags.max() >= crf.num_tags):
-        raise InputError(f"gold tag out of range [0, {crf.num_tags})")
+    tags = _gold_tags(tags, L, crf.num_tags)
     score = crf.start[int(tags[0])] + emissions[(0, int(tags[0]))]
     for t in range(1, L):
         score = score + crf.trans[(int(tags[t - 1]), int(tags[t]))] + emissions[(t, int(tags[t]))]

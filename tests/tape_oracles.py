@@ -23,47 +23,33 @@ from casetag.nn.tensor import _result, log_softmax_np
 
 def tanh(t: Tensor) -> Tensor:
     y = np.tanh(t.data)
-    out = _result(y, (t,))
-    if out.requires_grad:
-        def bw(g, a=t, y=y):
-            a._accumulate(g * (1.0 - y * y))
-        out._backward = bw
-    return out
+    return _result(y, (t,), lambda g: t._accumulate(g * (1.0 - y * y)))
 
 
 def sigmoid(t: Tensor) -> Tensor:
     s = sigmoid_np(t.data)
-    out = _result(s, (t,))
-    if out.requires_grad:
-        def bw(g, a=t, s=s):
-            a._accumulate(g * s * (1.0 - s))
-        out._backward = bw
-    return out
+    return _result(s, (t,), lambda g: t._accumulate(g * s * (1.0 - s)))
 
 
 def max_over(t: Tensor, axis: int) -> Tensor:
     """Maximum along `axis`; the gradient goes to the first maximal position."""
-    idx = np.argmax(t.data, axis=axis)
-    out = _result(np.take_along_axis(t.data, np.expand_dims(idx, axis), axis).squeeze(axis), (t,))
-    if out.requires_grad:
-        def bw(g, a=t, idx=idx, axis=axis):
-            gz = np.zeros_like(a.data)
-            np.put_along_axis(gz, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
-            a._accumulate(gz)
-        out._backward = bw
-    return out
+    idx = np.expand_dims(np.argmax(t.data, axis=axis), axis)
+
+    def bw(g):
+        gz = np.zeros_like(t.data)
+        np.put_along_axis(gz, idx, np.expand_dims(g, axis), axis)
+        t._accumulate(gz)
+    return _result(np.take_along_axis(t.data, idx, axis).squeeze(axis), (t,), bw)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
-    out = _result(np.stack([t.data for t in tensors], axis=axis), tensors)
-    if out.requires_grad:
-        def bw(g, ts=tensors, axis=axis):
-            for i, t in enumerate(ts):
-                if t.requires_grad:
-                    t._accumulate(np.take(g, i, axis=axis))
-        out._backward = bw
-    return out
+
+    def bw(g):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t._accumulate(np.take(g, i, axis=axis))
+    return _result(np.stack([t.data for t in tensors], axis=axis), tensors, bw)
 
 
 def lstm_step(cell: LSTMCell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
@@ -82,13 +68,8 @@ def lstm_step(cell: LSTMCell, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, 
 def log_softmax(t: Tensor) -> Tensor:
     """Row-wise log-softmax (along the last axis)."""
     ls = log_softmax_np(t.data)
-    out = _result(ls, (t,))
-    if out.requires_grad:
-        soft = np.exp(ls)
-        def bw(g, a=t, soft=soft):
-            a._accumulate(g - soft * g.sum(axis=-1, keepdims=True))
-        out._backward = bw
-    return out
+    return _result(ls, (t,),
+                   lambda g: t._accumulate(g - np.exp(ls) * g.sum(axis=-1, keepdims=True)))
 
 
 def tape_cross_entropy(logits: Tensor, labels) -> Tensor:

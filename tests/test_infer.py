@@ -103,15 +103,21 @@ def test_sigmoid_np_matches_the_three_exp_expression():
 
 
 def test_getitem_basic_index_grads_match_add_at():
+    # an int, a slice or a tuple of them selects each element once, so
+    # np.add.at adds the floats of grad[idx] += g, a -0.0 upstream included
     rng = np.random.default_rng(2)
     data = rng.normal(size=(5, 4))
-    for idx in [2, slice(1, 4), (1, 3), (slice(0, 2), 3), (slice(None), slice(1, 3))]:
-        t = Tensor(data, requires_grad=True)
-        g = rng.normal(size=data[idx].shape)
-        (t[idx] * Tensor(g)).sum().backward()
-        expected = np.zeros_like(data)
-        np.add.at(expected, idx, g)
-        assert np.array_equal(t.grad, expected), idx
+    for idx in [2, -1, slice(1, 4), (1, 3), (slice(0, 2), 3), (slice(None), slice(1, 3))]:
+        shape = data[idx].shape
+        for g in (rng.normal(size=shape), np.full(shape, -0.0)):
+            for held in (None, rng.normal(size=data.shape), np.full(data.shape, -0.0)):
+                t = Tensor(data, requires_grad=True)
+                t.grad = None if held is None else held.copy()
+                t[idx]._backward(g)
+                want = np.zeros_like(data) if held is None else held.copy()
+                want[idx] += g
+                assert np.array_equal(t.grad, want), idx
+                assert np.array_equal(np.signbit(t.grad), np.signbit(want)), idx
     # a fancy index that repeats a row keeps accumulating
     t = Tensor(data, requires_grad=True)
     t[np.array([1, 1, 3])].sum().backward()
@@ -124,7 +130,7 @@ def test_getitem_basic_index_grads_match_add_at():
 def test_distributions_match_tape_bit_for_bit(emb, hidden):
     tc = truecaser(emb, hidden)
     for ex in sentences():
-        text = lowercase_keep_length(" ".join(ex.tokens))[0]
+        text = lowercase_keep_length(" ".join(ex.tokens))
         tape = tc.logits(text)
         assert tape.requires_grad
         assert np.array_equal(tc.distributions(text), softmax_np(tape.data, axis=-1))
@@ -136,7 +142,7 @@ def test_held_out_loss_matches_tape_bit_for_bit():
     total, count = 0.0, 0
     for sent in texts:
         labels = np.array([0 if ch.isupper() else 1 for ch in sent])
-        loss = cross_entropy(tc.logits(lowercase_keep_length(sent)[0]), labels)
+        loss = cross_entropy(tc.logits(lowercase_keep_length(sent)), labels)
         total += loss.item() * len(sent)
         count += len(sent)
     assert held_out_loss(tc, texts + [""]) == total / count
@@ -197,7 +203,7 @@ def cache_setup(regime):
 
 
 def lowered_text(ex):
-    return " ".join(lowercase_keep_length(tok)[0] for tok in ex.tokens)
+    return " ".join(lowercase_keep_length(tok) for tok in ex.tokens)
 
 
 def test_fixed_regime_runs_the_truecaser_once_per_distinct_sentence(monkeypatch):

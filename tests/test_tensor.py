@@ -1,15 +1,19 @@
 """Autodiff engine: op-level gradients against finite differences, softmax
-contracts, and the fused cross_entropy node against its tape oracle, bit for
-bit."""
+contracts, how every node builder records, and the fused cross_entropy node
+against its tape oracle, bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from casetag.crf import Crf, crf_nll
 from casetag.errors import InputError, NumericError
-from casetag.nn import Linear, Tensor, concat, cross_entropy, no_grad, softmax_np
+from casetag.ner import EmbeddingTable
+from casetag.nn import (BiLSTM, CharCNN, Linear, LSTMCell, Tensor, concat, cross_entropy,
+                        no_grad, softmax_np)
 from casetag.nn.tensor import _toposort
 
+from crf_oracles import logsumexp, reshape
 from tape_oracles import log_softmax, max_over, sigmoid, stack, tanh, tape_cross_entropy
 
 
@@ -119,6 +123,42 @@ def test_no_grad_builds_no_tape():
     # a fresh graph outside the context still works
     (w.sum()).backward()
     assert np.all(w.grad == 1.0)
+
+
+def test_grad_buffer_zero_fills_on_first_touch_only():
+    t = Tensor(np.ones((2, 3)), requires_grad=True)
+    buf = t._grad_buffer()
+    assert buf is t.grad and np.array_equal(buf, np.zeros((2, 3))) and not np.signbit(buf).any()
+    buf += 1.5
+    assert t._grad_buffer() is buf and np.array_equal(buf, np.full((2, 3), 1.5))
+
+
+def test_every_node_builder_records_only_under_grad_mode_with_a_recording_parent():
+    r = np.random.default_rng(8)
+    x, y, v = (Tensor(r.normal(size=shape), requires_grad=True) for shape in [(3, 3), (3, 3), 3])
+    cell, bi, cnn, crf = LSTMCell(3, 2, r), BiLSTM(3, 2, r), CharCNN(3, 2, 2, r), Crf(3, r)
+    table = EmbeddingTable.random(["a", "b"], 3, r)
+    builders = {
+        "add": lambda: x + v, "neg": lambda: -x, "mul": lambda: x * y, "matmul": lambda: x @ y,
+        "getitem": lambda: x[np.array([0, 0, 2])], "T": lambda: x.T, "sum": lambda: x.sum(0),
+        "concat": lambda: concat([x, y], axis=1), "stack": lambda: stack([x, y]),
+        "cross_entropy": lambda: cross_entropy(x, [0, 2, 2]), "lstm_run": lambda: cell.run(x),
+        "bilstm": lambda: bi(x), "char_cnn": lambda: cnn(x, [(0, 1), (2, 3)]),
+        "crf_nll": lambda: crf_nll(x, [0, 1, 2], crf), "embedding": lambda: table(["a", "zz"]),
+        "tanh": lambda: tanh(x), "sigmoid": lambda: sigmoid(x), "max_over": lambda: max_over(x, 0),
+        "log_softmax": lambda: log_softmax(x), "logsumexp": lambda: logsumexp(x, axis=0),
+        "reshape": lambda: reshape(x, (9,)),
+    }
+    recorded = {name: build() for name, build in builders.items()}
+    with no_grad():
+        silent = [(name, build()) for name, build in builders.items()]
+    for t in [x, y, v] + [p for m in (cell, bi, cnn, crf, table) for _, p in m.named_params()]:
+        t.requires_grad = False
+    silent += [(name, build()) for name, build in builders.items()]
+    for name, node in silent:
+        assert recorded[name]._parents and recorded[name]._backward is not None, name
+        assert not node.requires_grad and node._parents == () and node._backward is None, name
+        assert np.array_equal(node.data, recorded[name].data), name
 
 
 def test_softmax_trivial_values():
