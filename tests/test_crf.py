@@ -233,6 +233,15 @@ def test_fused_nll_frozen_crf_and_constant_emissions_get_no_grad():
     assert grads[0] is not None and all(g is None for g in grads[1:])
 
 
+def test_fused_nll_under_no_grad_records_no_node():
+    rng = np.random.default_rng(12)
+    em, crf = random_instance(rng, L=5, T=4)
+    em = Tensor(em.data, requires_grad=True)
+    with no_grad():
+        loss = crf_nll(em, [0, 1, 2, 3, 0], crf)
+    assert not loss.requires_grad and loss._parents == () and loss._backward is None
+
+
 def test_fused_nll_benchmark_call():
     """A list of tags, a plain Tensor, .item() under no_grad: the value
     matches a float64 numpy forward algorithm."""

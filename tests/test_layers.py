@@ -447,6 +447,16 @@ def test_bilstm_node_with_frozen_cells(frozen):
         assert not bi(xs).requires_grad
 
 
+def test_bilstm_node_records_nothing_under_no_grad():
+    rng = np.random.default_rng(9)
+    bi = perturbed_bilstm(3, 4, rng)
+    xs = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    with no_grad():
+        out = bi(xs)
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    assert np.array_equal(out.data, bi(xs).data)
+
+
 def test_bilstm_is_one_tape_node_per_call():
     rng = np.random.default_rng(10)
     bi = perturbed_bilstm(3, 4, rng)
