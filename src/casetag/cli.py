@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -197,10 +198,10 @@ def cmd_train_truecaser(cfg: RunConfig) -> int:
 def cmd_truecase(cfg: RunConfig) -> int:
     _require(cfg, "model", "input")
     model = Truecaser.load(cfg.model)
-    out = []
-    for line in text_lines(cfg.input):
-        text = lowercase_keep_length(line) if cfg.lowercase else line
-        out.append(apply_truecaser(model, text) if text else text)
+    lines = text_lines(cfg.input)
+    if cfg.lowercase:
+        lines = [lowercase_keep_length(line) for line in lines]
+    out = apply_truecaser(model, lines)
     if cfg.output:
         _write_lines(cfg.output, out)
     else:
@@ -272,8 +273,8 @@ def cmd_tag(cfg: RunConfig) -> int:
     dataset = read_conll(cfg.input)
     if cfg.lowercase:
         dataset = lowercase_dataset(dataset)
-    tagged = [NerExample(ex.tokens, predict_tags(model, ex), ex.cased_tokens)
-              for ex in dataset]
+    tagged = [NerExample(ex.tokens, tags, ex.cased_tokens)
+              for ex, tags in zip(dataset, predict_tags(model, dataset))]
     write_conll(tagged, cfg.output)
     return 0
 
@@ -336,7 +337,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="casetag",
         description="Truecasing as a pretraining signal for case-robust NER.")

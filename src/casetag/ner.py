@@ -9,8 +9,8 @@ Case vector modes:
     gold       one-hot casing of the original text, the ceiling condition
 
 In predicted mode the case vectors always come from the truecaser's
-evaluation pass over the lowercased sentence (case_distributions_for_tokens),
-in every regime and at training and test time alike.
+evaluation pass over the lowercased sentence (case_distributions), in every
+regime and at training and test time alike.
 
 Truecaser regimes (predicted mode only):
     fixed      pretrained truecaser, parameters frozen
@@ -24,10 +24,11 @@ and scratch regimes run the truecaser twice per training sentence: once in
 training mode for that loss and once in evaluation mode for the case vectors.
 
 NerModel.emissions is the tagger's one forward: training records it on the
-tape, and evaluation and tagging run it under no_grad.  It builds a handful
-of nodes per sentence: the character rows of the space-joined sentence, the
-char CNN over every token at once, the word vectors, the BiLSTM and the
-output layer.
+tape for one sentence, and evaluation and tagging run it under no_grad over
+a whole dataset, whose sentences share BiLSTM scans in batches of similar
+length.  It builds a handful of nodes per sentence: the character rows of
+the space-joined sentence, the char CNN over every token at once, the word
+vectors, the BiLSTM and the output layer.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from casetag.config import (
 )
 from casetag.crf import Crf, crf_nll, viterbi_decode
 from casetag.errors import AlignmentError, ConfigError, InputError
-from casetag.metrics import Span, bio_decode, span_f1
+from casetag.metrics import bio_decode, span_f1
 from casetag.nn import (
     BiLSTM,
     CharCNN,
@@ -71,7 +72,7 @@ from casetag.truecaser import (
     CharVocab,
     TrainStats,
     Truecaser,
-    case_distributions_for_tokens,
+    case_distributions,
     case_labels,
     fit,
     lowercase_keep_length,
@@ -223,46 +224,68 @@ class NerModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _case_rows(self, example: NerExample, case_cache: dict | None) -> np.ndarray | None:
-        """The two case columns appended to the character rows of the
-        space-joined sentence, or None in mode none; case_cache is passed to
-        case_distributions_for_tokens."""
+    def _case_rows(self, examples: list[NerExample], case_rows: list | None) -> list:
+        """Each example's two case columns appended to the character rows of
+        its space-joined sentence, or None for each in mode none.  In
+        predicted mode case_rows, when given, holds them already
+        (case_distributions of the examples' tokens); otherwise the truecaser
+        computes them here, in one batched pass."""
         if self.case_mode == MODE_PREDICTED:
-            rows = case_distributions_for_tokens(self.truecaser, example.tokens, case_cache)
-            text = " ".join(example.tokens)
-            if len(rows) != len(text):
-                raise AlignmentError(
-                    f"sentence {text!r} needs {len(text)} case distributions, got {len(rows)}")
-            return rows
+            if case_rows is None:
+                case_rows = case_distributions(self.truecaser, [ex.tokens for ex in examples])
+            for example, rows in zip(examples, case_rows):
+                text = " ".join(example.tokens)
+                if len(rows) != len(text):
+                    raise AlignmentError(f"sentence {text!r} needs {len(text)} case "
+                                         f"distributions, got {len(rows)}")
+            return case_rows
         if self.case_mode == MODE_GOLD:
-            cased = example.source_tokens()
-            for token, cased_token in zip_longest(example.tokens, cased, fillvalue=""):
-                if len(cased_token) != len(token):
-                    raise AlignmentError(
-                        f"cased form {cased_token!r} does not align with token {token!r}")
-            return gold_case_vectors(" ".join(cased))
-        return None
+            out = []
+            for example in examples:
+                cased = example.source_tokens()
+                for token, cased_token in zip_longest(example.tokens, cased, fillvalue=""):
+                    if len(cased_token) != len(token):
+                        raise AlignmentError(
+                            f"cased form {cased_token!r} does not align with token {token!r}")
+                out.append(gold_case_vectors(" ".join(cased)))
+            return out
+        return [None] * len(examples)
 
-    def emissions(self, example: NerExample, train: bool = False,
+    def emissions(self, examples, train: bool = False,
                   rng: np.random.Generator | None = None,
-                  case_cache: dict | None = None) -> Tensor:
-        """(L, tags) scores of a sentence of L tokens.  Each token's input to
-        the BiLSTM is its word vector beside the char-CNN encoding of its
-        characters, built for the whole sentence at once."""
-        if not example.tokens:
+                  case_rows: list | None = None):
+        """(L, tags) scores of a sentence of L tokens, for one example, or a
+        list of them for a list of examples.  Each token's input to the
+        BiLSTM is its word vector beside the char-CNN encoding of its
+        characters, built for the whole sentence at once.  A list runs in
+        batches of similar length (BiLSTM.map_batches) under no_grad, with
+        the scores of one sentence at a time, bit for bit; training passes a
+        list of one.  case_rows is passed to _case_rows."""
+        one = isinstance(examples, NerExample)
+        examples = [examples] if one else examples
+        if not all(ex.tokens for ex in examples):
             raise InputError("empty sentence")
+        case_rows = self._case_rows(examples, case_rows)
+
+        def forward(batch):
+            xs = [dropout(self._token_inputs(ex, rows), self.cfg.dropout, rng, train)
+                  for ex, rows in batch]
+            return [self.emit(dropout(hidden, self.cfg.dropout, rng, train))
+                    for hidden in self.lstm(xs)]
+        out = self.lstm.map_batches(forward, list(zip(examples, case_rows)),
+                                    [len(ex.tokens) for ex in examples])
+        return out[0] if one else out
+
+    def _token_inputs(self, example: NerExample, case_rows: np.ndarray | None) -> Tensor:
+        """The (L, word + filters) BiLSTM input of a sentence of L tokens."""
         chars = self.char_emb(self.char_vocab.encode(" ".join(example.tokens)))
-        rows = self._case_rows(example, case_cache)
-        if rows is not None:
-            chars = concat([chars, Tensor(rows)], axis=1)
+        if case_rows is not None:
+            chars = concat([chars, Tensor(case_rows)], axis=1)
         spans, start = [], 0
         for token in example.tokens:
             spans.append((start, start + len(token)))
             start += len(token) + 1  # skip the joining space
-        x = concat([self.word_table(example.tokens), self.cnn(chars, spans)], axis=1)
-        hidden = self.lstm(dropout(x, self.cfg.dropout, rng, train))
-        hidden = dropout(hidden, self.cfg.dropout, rng, train)
-        return self.emit(hidden)
+        return concat([self.word_table(example.tokens), self.cnn(chars, spans)], axis=1)
 
     def tag_ids(self, tags: list[str]) -> np.ndarray:
         try:
@@ -310,23 +333,19 @@ class NerModel:
         return model
 
 
-def predict_tags(model: NerModel, example: NerExample,
-                 case_cache: dict | None = None) -> list[str]:
-    """Viterbi tags; case_cache is passed to case_distributions_for_tokens."""
+def predict_tags(model: NerModel, examples: list[NerExample],
+                 case_rows: list | None = None) -> list[list[str]]:
+    """The Viterbi tags of each example, from one batched forward under
+    no_grad; case_rows is passed to emissions."""
     with no_grad():
-        em = model.emissions(example, case_cache=case_cache).data
-    return [model.tagset[i] for i in viterbi_decode(em, model.crf)]
-
-
-def predict(model: NerModel, example: NerExample,
-            case_cache: dict | None = None) -> list[Span]:
-    return bio_decode(predict_tags(model, example, case_cache))
+        scores = model.emissions(examples, case_rows=case_rows)
+    return [[model.tagset[i] for i in viterbi_decode(em.data, model.crf)] for em in scores]
 
 
 def evaluate_ner(model: NerModel, dataset: list[NerExample],
-                 case_cache: dict | None = None):
+                 case_rows: list | None = None):
     gold = [bio_decode(ex.tags) for ex in dataset]
-    pred = [predict(model, ex, case_cache) for ex in dataset]
+    pred = [bio_decode(tags) for tags in predict_tags(model, dataset, case_rows)]
     return span_f1(gold, pred)
 
 
@@ -352,27 +371,33 @@ def train_ner(dataset: list[NerExample], model: NerModel,
 
     trained = model.named_params() + (model.truecaser.named_params() if aux_active else [])
     # a frozen truecaser gives the same distributions for the same text, so
-    # one forward per distinct sentence serves every epoch and dev pass
-    case_cache = {} if cfg.case_mode == MODE_PREDICTED and not aux_active else None
+    # one batched pass over the training and dev sentences, before training,
+    # serves every epoch and dev pass
+    rows, dev_rows = [None] * len(dataset), None
+    if cfg.case_mode == MODE_PREDICTED and not aux_active:
+        rows = case_distributions(model.truecaser, [ex.tokens for ex in dataset + (dev or [])])
+        rows, dev_rows = rows[:len(dataset)], rows[len(dataset):]
 
-    def loss_fn(ex: NerExample, rng: np.random.Generator) -> Tensor:
+    def loss_fn(item, rng: np.random.Generator) -> Tensor:
         # the auxiliary loss draws from rng before the tagger's dropout; the
         # case vectors come from the truecaser's evaluation pass, which
         # draws nothing
+        ex, ex_rows = item
         aux = None
         if aux_active:
             aux = model.truecaser.training_loss(" ".join(ex.source_tokens()),
                                                 cfg.pass_through_prob, rng)
-        loss = crf_nll(model.emissions(ex, train=True, rng=rng, case_cache=case_cache),
-                       model.tag_ids(ex.tags), model.crf)
+        scores, = model.emissions([ex], train=True, rng=rng,
+                                  case_rows=None if ex_rows is None else [ex_rows])
+        loss = crf_nll(scores, model.tag_ids(ex.tags), model.crf)
         return loss if aux is None else loss + aux * cfg.aux_weight
 
     def evaluate():
-        f1 = evaluate_ner(model, dev, case_cache).f1
+        f1 = evaluate_ner(model, dev, dev_rows).f1
         return {"dev_f1": 100 * f1}, f" dev_f1={100 * f1:.1f}", f1
 
-    best = fit(dataset, trained, loss_fn, cfg, np.random.default_rng(cfg.seed), stats, log,
-               evaluate if dev else None)
+    best = fit(list(zip(dataset, rows)), trained, loss_fn, cfg,
+               np.random.default_rng(cfg.seed), stats, log, evaluate if dev else None)
     if best is not None:
         stats.best_dev_f1 = 100 * best
     return model

@@ -10,6 +10,12 @@ are one tape node each, with hand-written backward passes.  A BiLSTM is one
 LSTMCell.run over both of its cells: one loop carries a (2, H) state, the
 forward cell's step t and the backward cell's step L-1-t side by side, so
 the per-timestep Python overhead is paid once for the two directions.
+
+Under no_grad an LSTM runs a list of sequences in one loop too, with an
+(S, 2, H) state sorted longest first, so the overhead is paid once per batch
+of sentences; every row gets the floats of its sentence run alone.
+BiLSTM.map_batches cuts a model's sentences into such batches, bounded by
+BATCH_ELEMENTS.
 """
 
 from __future__ import annotations
@@ -17,10 +23,12 @@ from __future__ import annotations
 import numpy as np
 
 from casetag.errors import ConfigError, InputError
-from casetag.nn.tensor import DTYPE, Tensor, _records, _result, sigmoid_np, zeros
+from casetag.nn.tensor import DTYPE, Tensor, _GradMode, _records, _result, sigmoid_np, zeros
 
 # elements of an LSTM's dW_hh summed per row block in its backward pass
 OUTER_BLOCK = 32768
+# elements of the input projections of one batched BiLSTM scan (1 MiB)
+BATCH_ELEMENTS = 131072
 
 
 def glorot(shape: tuple[int, int], rng: np.random.Generator) -> Tensor:
@@ -74,50 +82,74 @@ class LSTMCell:
         self.b = Tensor(b, requires_grad=True)
 
     @staticmethod
-    def _scan(runs: tuple, xs: np.ndarray, saved: list | None = None) -> np.ndarray:
-        """The recurrence of the B cells of runs, each a (cell, reverse) pair,
-        in one loop over numpy arrays; returns the (L, B, H) states in step
-        order, so row t holds each cell's t-th step (position L-1-t for a
-        reversed cell).  The input projections are hoisted out of the loop;
-        each cell keeps its own W_hh @ h, and the gate arithmetic runs once
-        over the (B, .) rows.  Given a list, appends to it, for each step,
-        what the backward pass reads: the sigmoid of all 4H gate
-        pre-activations (the candidate block's is unused), the candidate
-        tanh, the cell state and its tanh."""
+    def _scan(runs: tuple, xs: list, saved: list | None = None) -> np.ndarray:
+        """The recurrence of the C cells of runs, each a (cell, reverse) pair,
+        over the S sequences xs, sorted longest first, in one loop over numpy
+        arrays.  Returns the (L, S, C, H) states in step order, L the longest
+        length: row [t, s, c] holds cell c's t-th step over sequence s
+        (position len-1-t for a reversed cell) for t < len(xs[s]), and later
+        rows are left unset.
+
+        The input projections are hoisted out of the loop, one matmul per
+        sequence and cell.  Step t updates only the n sequences still
+        running, the first n rows of the state; each cell's W_hh @ h is one
+        stacked matmul over those rows, the same matrix-vector product for
+        each row as alone, and the gate arithmetic runs once over the
+        (n, C, .) rows.  Given a list, which needs one sequence, appends to
+        it, for each step, what the backward pass reads of the (1, C, .)
+        rows: the sigmoid of all 4H gate pre-activations (the candidate
+        block's is unused), the candidate tanh, the cell state and its
+        tanh."""
         H = runs[0][0].hidden_dim
-        L, B = xs.shape[0], len(runs)
-        pre = np.empty((L, B, 4 * H), dtype=DTYPE)
-        for b, (cell, reverse) in enumerate(runs):
-            p = xs @ cell.W_ih.data.T + cell.b.data
-            pre[:, b] = p[::-1] if reverse else p
-        h = np.zeros((B, H), dtype=DTYPE)
-        c = np.zeros((B, H), dtype=DTYPE)
-        gates = np.empty((B, 4 * H), dtype=DTYPE)
-        # each cell's W_hh with its rows of h and of gates
-        matvecs = [(cell.W_hh.data, h_b, gates_b)
-                   for (cell, _), h_b, gates_b in zip(runs, h, gates)]
-        states = np.empty((L, B, H), dtype=DTYPE)
-        for t in range(L):
-            for W, h_b, gates_b in matvecs:
-                np.matmul(W, h_b, out=gates_b)
-            np.add(pre[t], gates, out=gates)
-            s = sigmoid_np(gates)
-            g = np.tanh(gates[:, 2 * H:3 * H])
-            c = s[:, H:2 * H] * c + s[:, 0:H] * g
-            tc = np.tanh(c)
-            np.multiply(s[:, 3 * H:4 * H], tc, out=h)
-            states[t] = h
-            if saved is not None:
-                saved.append((s, g, c, tc))
+        lengths = [x.shape[0] for x in xs]
+        L, S, C = lengths[0], len(xs), len(runs)
+        pre = np.empty((L, S, C, 4 * H), dtype=DTYPE)
+        for i, x in enumerate(xs):
+            for k, (cell, reverse) in enumerate(runs):
+                p = x @ cell.W_ih.data.T + cell.b.data
+                pre[:lengths[i], i, k] = p[::-1] if reverse else p
+        W_hh = [cell.W_hh.data for cell, _ in runs]
+        h = np.zeros((S, C, H), dtype=DTYPE)
+        c = np.zeros((S, C, H), dtype=DTYPE)
+        gates = np.empty((S, C, 4 * H), dtype=DTYPE)
+        states = np.empty((L, S, C, H), dtype=DTYPE)
+        start = 0
+        for n in range(S, 0, -1):
+            # steps start..end-1 run the first n sequences, and only them
+            end = lengths[n - 1]
+            if end == start:
+                continue
+            z, h_n, pre_n, states_n = gates[:n], h[:n], pre[:, :n], states[:, :n]
+            # each cell's W_hh with its rows of h and of the gates
+            matvecs = [(W, h_n[:, k, :, None], z[:, k, :, None]) for k, W in enumerate(W_hh)]
+            c = c[:n]
+            for t in range(start, end):
+                for W, h_k, z_k in matvecs:
+                    np.matmul(W, h_k, out=z_k)
+                np.add(pre_n[t], z, out=z)
+                s = sigmoid_np(z)
+                g = np.tanh(z[..., 2 * H:3 * H])
+                c = s[..., H:2 * H] * c + s[..., 0:H] * g
+                tc = np.tanh(c)
+                np.multiply(s[..., 3 * H:4 * H], tc, out=h_n)
+                states_n[t] = h_n
+                if saved is not None:
+                    saved.append((s, g, c, tc))
+            start = end
         return states
 
-    def run(self, xs: Tensor, reverse: bool = False, bwd: "LSTMCell | None" = None) -> Tensor:
+    def run(self, xs, reverse: bool = False, bwd: "LSTMCell | None" = None):
         """Run over a (L, in_dim) sequence; returns (L, hidden_dim) states.
         Given a second cell bwd, runs this cell left to right and bwd right
         to left in the same loop, and returns the (L, 2 * hidden_dim) states
         of both, this cell's first; the two cells have the same dimensions.
 
-        The whole run is one tape node whose backward is hand-written
+        xs is one sequence or a list of them, which gives a list of states
+        in input order.  A list of several sequences runs them in one loop
+        (_scan), longest first, each with the floats of its run alone, and
+        records no tape, so where a node would record it raises.
+
+        One sequence is one tape node whose backward is hand-written
         backpropagation through time.  Forward and backward compute the same
         floats, in the same order, as a tape of one node per operation and
         cell: the hoisted projections `pre = xs @ W_ih.T + b`, then at each
@@ -125,25 +157,38 @@ class LSTMCell:
         tanh of the candidate, c = f*c + i*g, h = o*tanh(c)).  So training is
         bit-identical to that tape.  Per-step activations are kept only when
         the node records a backward."""
+        seqs = [xs] if isinstance(xs, Tensor) else list(xs)
         runs = ((self, reverse),) if bwd is None else ((self, False), (bwd, True))
-        parents = (xs,) + tuple(p for cell, _ in runs for _, p in cell.named_params())
+        params = tuple(p for cell, _ in runs for _, p in cell.named_params())
+        if len(seqs) != 1:
+            if _records(tuple(seqs) + params):
+                raise InputError("a recorded LSTM run takes one sequence; "
+                                 "run a batch under no_grad")
+            order = sorted(range(len(seqs)), key=lambda i: -seqs[i].shape[0])
+            outs = [None] * len(seqs)
+            if seqs:
+                states = self._scan(runs, [seqs[i].data for i in order])
+                for s, i in enumerate(order):
+                    outs[i] = Tensor(_outputs(runs, states[:seqs[i].shape[0], s]))
+            return outs
+        x = seqs[0]
+        parents = (x,) + params
         saved = [] if _records(parents) else None
-        states = self._scan(runs, xs.data, saved)
+        states = self._scan(runs, [x.data], saved)[:, 0]
         W_ih = [cell.W_ih.data for cell, _ in runs]
         W_hh = [cell.W_hh.data for cell, _ in runs]
 
         def bw(g):
             dpres = self._bptt(runs, g, states, saved, W_hh)
             for (cell, _), W, dpre in zip(runs, W_ih, dpres):
-                if xs.requires_grad:
-                    xs._accumulate(dpre @ W)
+                if x.requires_grad:
+                    x._accumulate(dpre @ W)
                 if cell.W_ih.requires_grad:
-                    cell.W_ih._accumulate((xs.data.T @ dpre).T)
+                    cell.W_ih._accumulate((x.data.T @ dpre).T)
                 if cell.b.requires_grad:
                     cell.b._accumulate(dpre.sum(axis=0))
-        return _result(np.concatenate(
-            [states[::-1, b] if rev else states[:, b] for b, (_, rev) in enumerate(runs)],
-            axis=1), parents, bw)
+        out = _result(_outputs(runs, states), parents, bw)
+        return out if isinstance(xs, Tensor) else [out]
 
     @staticmethod
     def _bptt(runs: tuple, g: np.ndarray, states: np.ndarray, saved: list,
@@ -155,7 +200,7 @@ class LSTMCell:
         tanh' is g*(1-t*t)."""
         H = runs[0][0].hidden_dim
         L, B = states.shape[0], len(runs)
-        S, G, C, TC = (np.array(a) for a in zip(*saved))
+        S, G, C, TC = (np.array(a)[:, 0] for a in zip(*saved))
         gs = np.empty((L, B, H), dtype=DTYPE)
         for b, (_, reverse) in enumerate(runs):
             gb = g[:, b * H:(b + 1) * H]
@@ -221,6 +266,13 @@ class LSTMCell:
         return [("W_ih", self.W_ih), ("W_hh", self.W_hh), ("b", self.b)]
 
 
+def _outputs(runs: tuple, states: np.ndarray) -> np.ndarray:
+    """One sequence's (n, C * H) output from its (n, C, H) states in step
+    order: each cell's states in position order, side by side."""
+    return np.concatenate([states[::-1, k] if reverse else states[:, k]
+                           for k, (_, reverse) in enumerate(runs)], axis=1)
+
+
 class BiLSTM:
     """Concatenates forward and backward LSTM states per position, width
     2*hidden, as one tape node over both cells."""
@@ -230,10 +282,33 @@ class BiLSTM:
         self.fwd = LSTMCell(in_dim, hidden_dim, rng)
         self.bwd = LSTMCell(in_dim, hidden_dim, rng)
 
-    def __call__(self, xs: Tensor) -> Tensor:
-        if xs.shape[0] == 0:
+    def __call__(self, xs):
+        """The states of one (L, in_dim) sequence, or of each of a list of
+        them (LSTMCell.run)."""
+        if any(x.shape[0] == 0 for x in ([xs] if isinstance(xs, Tensor) else xs)):
             raise InputError("BiLSTM over an empty sequence")
         return self.fwd.run(xs, bwd=self.bwd)
+
+    def map_batches(self, forward, items: list, lengths: list[int]) -> list:
+        """forward(batch) of items whose sequences through this BiLSTM have
+        the given lengths, and its results back in input order.  The batches
+        are runs of items, longest first (ties in input order), cut so that
+        one scan's input projections, the longest length times the count
+        times 8 * hidden elements, stay within BATCH_ELEMENTS; an item over
+        the bound is a batch of its own.  A forward over more than one item
+        records no tape, so more than one item needs no_grad."""
+        if len(items) > 1 and _GradMode.enabled:
+            raise InputError("a forward over several sentences runs under no_grad; "
+                             "a recorded forward takes one")
+        out = [None] * len(items)
+        order = sorted(range(len(items)), key=lambda i: -lengths[i])
+        while order:
+            # order[0] is the longest item of the batch it starts
+            count = max(1, BATCH_ELEMENTS // (lengths[order[0]] * 8 * self.hidden_dim))
+            batch, order = order[:count], order[count:]
+            for i, result in zip(batch, forward([items[i] for i in batch])):
+                out[i] = result
+        return out
 
     def named_params(self):
         out = [("fwd." + n, p) for n, p in self.fwd.named_params()]

@@ -142,20 +142,29 @@ class Truecaser:
         return (prefixed("tc.emb", self.emb) + prefixed("tc.rnn", self.rnn)
                 + prefixed("tc.out", self.out))
 
-    def logits(self, text: str, train: bool = False,
-               rng: np.random.Generator | None = None) -> Tensor:
-        """(n, 2) class scores, one row per input character."""
-        if not text:
+    def logits(self, texts, train: bool = False,
+               rng: np.random.Generator | None = None):
+        """(n, 2) class scores, one row per input character, of one text, or
+        a list of them for a list of texts.  A list runs in batches of
+        similar length (BiLSTM.map_batches) under no_grad, with the scores
+        of one text at a time, bit for bit; training passes one text."""
+        one = isinstance(texts, str)
+        texts = [texts] if one else texts
+        if not all(texts):
             raise InputError("truecaser forward over an empty string")
-        vecs = self.emb(self.vocab.encode(text))
-        vecs = dropout(vecs, self.dropout_rate, rng, train)
-        hidden = self.rnn(vecs)
-        hidden = dropout(hidden, self.dropout_rate, rng, train)
-        return self.out(hidden)
+
+        def forward(batch):
+            vecs = [dropout(self.emb(self.vocab.encode(text)), self.dropout_rate, rng, train)
+                    for text in batch]
+            return [self.out(dropout(hidden, self.dropout_rate, rng, train))
+                    for hidden in self.rnn(vecs)]
+        out = self.rnn.map_batches(forward, texts, [len(text) for text in texts])
+        return out[0] if one else out
 
     def distributions(self, text: str) -> np.ndarray:
-        """(n, 2) rows (p_upper, p_lower): logits() in evaluation mode, under
-        no_grad."""
+        """(n, 2) rows (p_upper, p_lower) of one text: logits() in evaluation
+        mode, under no_grad.  batch_distributions gives those of many texts
+        in one batched forward."""
         with no_grad():
             return softmax_np(self.logits(text).data, axis=-1)
 
@@ -286,50 +295,51 @@ def train_truecaser(sentences: list[str], cfg: RunConfig,
 
 
 def held_out_loss(model: Truecaser, sentences: list[str]) -> float:
-    """Mean per-character loss on fully lowercased inputs; NaN-free even when empty."""
+    """Mean per-character loss on fully lowercased inputs, summed in input
+    order; empty sentences are skipped, and no sentence gives 0.0."""
+    sentences = [sent for sent in sentences if sent]
     if not sentences:
         return 0.0
     total, count = 0.0, 0
     with no_grad():
-        for sent in sentences:
-            if not sent:
-                continue
-            loss = cross_entropy(model.logits(lowercase_keep_length(sent)), case_labels(sent))
-            total += loss.item() * len(sent)
+        logits = model.logits([lowercase_keep_length(sent) for sent in sentences])
+        for sent, scores in zip(sentences, logits):
+            total += cross_entropy(scores, case_labels(sent)).item() * len(sent)
             count += len(sent)
-    return total / max(count, 1)
+    return total / count
 
 
-def apply_truecaser(model: Truecaser, text: str) -> str:
-    """Uppercase exactly the characters predicted uppercase; input text is
-    consumed as given (pass-through training makes cased input meaningful)."""
-    if not text:
-        return text
-    upper = np.argmax(model.distributions(text), axis=1) == UPPER
-    return "".join(uppercase_char(ch) if up else ch for ch, up in zip(text, upper))
+def batch_distributions(model: Truecaser, texts: list[str]) -> list[np.ndarray]:
+    """model.distributions(text) of each text, bit for bit, from one batched
+    forward; an empty text gets no rows."""
+    with no_grad():
+        logits = iter(model.logits([text for text in texts if text]))
+    return [softmax_np(next(logits).data, axis=-1) if text else np.zeros((0, 2))
+            for text in texts]
 
 
-def case_distributions_for_tokens(model: Truecaser, tokens: list[str],
-                                  cache: dict | None = None) -> np.ndarray:
-    """The truecaser's (n, 2) distribution rows over the space-joined,
-    lowercased token sequence of n characters, the joining spaces' rows
-    included.
+def apply_truecaser(model: Truecaser, texts: list[str]) -> list[str]:
+    """Each text with exactly the characters predicted uppercase uppercased;
+    input text is consumed as given (pass-through training makes cased input
+    meaningful), and an empty text comes back unchanged."""
+    return ["".join(uppercase_char(ch) if up else ch
+                    for ch, up in zip(text, np.argmax(dist, axis=1) == UPPER))
+            for text, dist in zip(texts, batch_distributions(model, texts))]
 
-    cache, when given, maps the joined text to the truecaser's output and is
-    filled as it goes; it stays valid only while the truecaser is frozen."""
-    if not tokens:
-        return np.zeros((0, 2))
-    text = " ".join(lowercase_keep_length(tok) for tok in tokens)
-    if cache is None:
-        return model.distributions(text)
-    dist = cache.get(text)
-    if dist is None:
-        dist = cache[text] = model.distributions(text)
-    return dist
+
+def case_distributions(model: Truecaser, token_lists: list[list[str]]) -> list[np.ndarray]:
+    """For each token sequence, the truecaser's (n, 2) distribution rows over
+    the n characters of the space-joined, lowercased tokens, the joining
+    spaces' rows included; each distinct text runs once, in one batched
+    forward."""
+    texts = [lowercase_keep_length(" ".join(tokens)) for tokens in token_lists]
+    distinct = list(dict.fromkeys(texts))
+    rows = dict(zip(distinct, batch_distributions(model, distinct)))
+    return [rows[text] for text in texts]
 
 
 def eval_truecaser(model: Truecaser, cased_sentences: list[str]) -> PrfScore:
     """Char-level P/R/F1 of predictions on the lowercased corpus against the
     original casing."""
-    preds = [apply_truecaser(model, lowercase_keep_length(sent)) for sent in cased_sentences]
+    preds = apply_truecaser(model, [lowercase_keep_length(sent) for sent in cased_sentences])
     return char_f1(cased_sentences, preds)

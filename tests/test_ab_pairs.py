@@ -2,6 +2,7 @@
 the pairs won, in each metric's better direction."""
 
 import importlib.util
+import json
 import os
 
 import pytest
@@ -36,3 +37,27 @@ def test_one_pair_has_no_spread():
 ])
 def test_a_metric_missing_from_any_run_is_left_out(parent, change):
     assert ab_pairs.summarize(SPECS, parent, change) == []
+
+
+def test_json_record_keeps_every_run_under_its_workload_and_seed(tmp_path):
+    def run(code, rate, unit="r/s"):
+        return {"exit": code, "correct": True, "failed": 0,
+                "metrics": {"rate": {"value": rate, "unit": unit}}}
+
+    runs = {"parent": [run(0, 10.0), run(0, 12.0)], "change": [run(0, 12.0), run(0, 15.0)]}
+    entry = ab_pairs.paired_entry(SPECS, runs)
+    assert entry["pairs"] == 2 and entry["exits"] == {"before": [0, 0], "after": [0, 0]}
+    assert entry["metrics"]["rate"] == {
+        "unit": "r/s",
+        "before": {"median": 11.0, "q1": 10.5, "q3": 11.5, "runs": [10.0, 12.0]},
+        "after": {"median": 13.5, "q1": 12.75, "q3": 14.25, "runs": [12.0, 15.0]},
+        "change_better_pairs": 2, "tied_pairs": 0}
+    path = str(tmp_path / "bench.json")
+    ab_pairs.record(path, "w1", "seed1", "cmd", entry)
+    ab_pairs.record(path, "w1", "seed1_trace1", "cmd", {"pairs": 3})
+    ab_pairs.record(path, "w2", "seed1", "cmd", entry)
+    with open(path, encoding="utf-8") as f:
+        records = json.load(f)
+    assert [r["workload"] for r in records] == ["w1", "w2"]
+    assert list(records[0]["paired_runs"]) == ["seed1", "seed1_trace1"]
+    assert records[0]["paired_runs"]["seed1"] == entry

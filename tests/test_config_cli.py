@@ -61,6 +61,14 @@ def test_every_subcommand_help_lists_flags_with_defaults():
         assert "--config" in text
 
 
+def test_parser_is_built_once_and_keeps_no_flags_between_calls():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["tag", "--model", "m", "--lowercase"])
+    second = parser.parse_args(["tag", "--model", "m"])
+    assert (first.lowercase, second.lowercase) == (True, None)
+
+
 def test_flags_override_config_file(tmp_path, capsys):
     gold = tmp_path / "gold.txt"
     gold.write_text("Alan ran\n", encoding="utf-8")

@@ -1,12 +1,16 @@
 """Inference, the one forward run under no_grad, against the same forward
-recording its tape, bit for bit; and the frozen-truecaser cache of
-train_ner."""
+recording its tape, bit for bit; batched forwards against one sentence at a
+time, bit for bit; and the frozen truecaser's case rows in train_ner."""
 
 import numpy as np
 import pytest
 
-import casetag.ner as ner_module
+import casetag.nn.layers as layers
+from casetag.cli import main
 from casetag.config import RunConfig
+from casetag.crf import viterbi_decode
+from casetag.errors import InputError
+from casetag.metrics import char_f1
 from casetag.ner import (
     MODE_GOLD,
     MODE_NONE,
@@ -18,7 +22,9 @@ from casetag.ner import (
     build_char_vocab,
     build_tagset,
     build_word_list,
+    NerExample,
     lowercase_dataset,
+    predict_tags,
     train_ner,
 )
 from casetag.nn import (
@@ -33,7 +39,14 @@ from casetag.nn import (
     softmax_np,
 )
 from casetag.synthetic import ner_dataset
-from casetag.truecaser import CharVocab, Truecaser, held_out_loss, lowercase_keep_length
+from casetag.truecaser import (
+    CharVocab,
+    Truecaser,
+    apply_truecaser,
+    batch_distributions,
+    held_out_loss,
+    lowercase_keep_length,
+)
 
 from tape_oracles import sigmoid
 
@@ -181,14 +194,17 @@ def test_emissions_match_tape_bit_for_bit(mode, emb, hidden):
 # -- case vectors in training, and the frozen-truecaser cache --------------------------
 
 def count_distributions(monkeypatch):
+    """The texts of every truecaser forward in evaluation mode, which gives
+    the case vectors."""
     seen = []
-    original = Truecaser.distributions
+    original = Truecaser.logits
 
-    def counting(self, text):
-        seen.append(text)
-        return original(self, text)
+    def counting(self, texts, train=False, rng=None):
+        if not train:
+            seen.extend([texts] if isinstance(texts, str) else texts)
+        return original(self, texts, train, rng)
 
-    monkeypatch.setattr(Truecaser, "distributions", counting)
+    monkeypatch.setattr(Truecaser, "logits", counting)
     return seen
 
 
@@ -218,9 +234,11 @@ def test_fixed_regime_runs_the_truecaser_once_per_distinct_sentence(monkeypatch)
 def test_fixed_regime_cache_leaves_the_trained_model_unchanged(monkeypatch):
     cached, train, dev = cache_setup(REGIME_FIXED)
     train_ner(train, cached, dev=dev)
-    original = ner_module.case_distributions_for_tokens
-    monkeypatch.setattr(ner_module, "case_distributions_for_tokens",
-                        lambda model, tokens, cache=None: original(model, tokens))
+    # case rows computed again in every forward, instead of once before training
+    emissions = NerModel.emissions
+    monkeypatch.setattr(NerModel, "emissions",
+                        lambda self, examples, train=False, rng=None, case_rows=None:
+                        emissions(self, examples, train, rng))
     uncached, _, _ = cache_setup(REGIME_FIXED)
     train_ner(train, uncached, dev=dev)
     for (name, p), (_, q) in zip(cached.named_params(), uncached.named_params()):
@@ -245,13 +263,14 @@ def test_finetuned_training_reads_the_evaluation_pass(monkeypatch):
     expected, received = [], []
     emissions, case_rows = NerModel.emissions, NerModel._case_rows
 
-    def recording_emissions(self, example, *args, **kwargs):
-        expected.append(self.truecaser.distributions(lowered_text(example)))
-        return emissions(self, example, *args, **kwargs)
+    def recording_emissions(self, examples, *args, **kwargs):
+        expected.extend(self.truecaser.distributions(lowered_text(ex)) for ex in examples)
+        return emissions(self, examples, *args, **kwargs)
 
-    def recording_rows(self, example, case_cache):
-        received.append(case_rows(self, example, case_cache))
-        return received[-1]
+    def recording_rows(self, examples, rows):
+        rows = case_rows(self, examples, rows)
+        received.extend(rows)
+        return rows
 
     monkeypatch.setattr(NerModel, "emissions", recording_emissions)
     monkeypatch.setattr(NerModel, "_case_rows", recording_rows)
@@ -259,3 +278,150 @@ def test_finetuned_training_reads_the_evaluation_pass(monkeypatch):
     assert len(expected) == len(received) == 2 * len(train)
     for want, rows in zip(expected, received):
         assert np.array_equal(rows, want)
+
+
+# -- batched forwards against one sentence at a time --------------------------------
+
+BATCH_DIMS = [(3, 2), (16, 24), (228, 256)]  # (embedding, hidden)
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def record_scans(monkeypatch):
+    """(sequences, longest length) of every LSTM scan."""
+    scans = []
+    scan = LSTMCell._scan
+
+    def recording(runs, xs, saved=None):
+        scans.append((len(xs), max(len(x) for x in xs)))
+        return scan(runs, xs, saved)
+
+    monkeypatch.setattr(LSTMCell, "_scan", staticmethod(recording))
+    return scans
+
+
+def assert_within_bound(scans, hidden):
+    for count, longest in scans:
+        assert count == 1 or longest * count * 8 * hidden <= layers.BATCH_ELEMENTS
+
+
+def mixed_texts(seed):
+    """Texts of every length from 1 to 60 in shuffled order, and two of them
+    again."""
+    rng = np.random.default_rng(seed)
+    alphabet = list("abcdefghij .,")
+    texts = ["".join(rng.choice(alphabet, size=n)) for n in rng.permutation(np.arange(1, 61))]
+    return texts + [texts[7], texts[30]]
+
+
+def mixed_examples(seed, count):
+    """count sentences of 1 to 60 tokens in shuffled order, cut from
+    synthetic sentences, and two of them again; every third one lowercased
+    with its casing kept aside."""
+    rng = np.random.default_rng(seed)
+    train, _ = ner_dataset(40, 0, seed=seed)
+    tokens = [tok for ex in train for tok in ex.tokens]
+    tags = [tag for ex in train for tag in ex.tags]
+    examples = []
+    for n in rng.permutation(np.linspace(1, 60, count).astype(int)):
+        start = int(rng.integers(len(tokens) - n))
+        examples.append(NerExample(tokens[start:start + n], tags[start:start + n]))
+    examples = [lowercase_dataset([ex])[0] if i % 3 == 0 else ex for i, ex in enumerate(examples)]
+    return examples + [examples[3], examples[count // 2]]
+
+
+@pytest.mark.parametrize("emb,hidden", BATCH_DIMS)
+def test_batched_distributions_match_one_text_at_a_time(emb, hidden, monkeypatch):
+    tc = truecaser(emb, hidden)
+    texts = mixed_texts(hidden)
+    scans = record_scans(monkeypatch)
+    batched = batch_distributions(tc, texts)
+    assert_within_bound(scans, hidden)
+    assert sum(count for count, _ in scans) == len(texts)
+    # at 3/2 all 62 texts, of lengths 1 to 60, fit in one scan
+    assert (scans == [(len(texts), 60)]) == (hidden == 2)
+    for text, dist in zip(texts, batched):
+        assert_same_bits(dist, tc.distributions(text))
+
+
+@pytest.mark.parametrize("emb,hidden", BATCH_DIMS)
+@pytest.mark.parametrize("mode", [MODE_NONE, MODE_PREDICTED, MODE_GOLD])
+def test_batched_emissions_and_tags_match_one_sentence_at_a_time(mode, emb, hidden,
+                                                                 monkeypatch):
+    model = tagger(mode, emb, hidden)
+    data = mixed_examples(hidden, 24 if hidden == 256 else 60)
+    scans = record_scans(monkeypatch)
+    with no_grad():
+        batched = model.emissions(data)
+    assert_within_bound(scans, hidden)
+    tags = predict_tags(model, data)
+    for ex, em, ex_tags in zip(data, batched, tags):
+        with no_grad():
+            alone = model.emissions(ex).data
+        assert_same_bits(em.data, alone)
+        assert ex_tags == [model.tagset[i] for i in viterbi_decode(alone, model.crf)]
+
+
+def test_batch_of_one_matches_one_sentence():
+    tc = truecaser(16, 24)
+    model = tagger(MODE_PREDICTED, 16, 24)
+    ex = sentences()[0]
+    text = lowered_text(ex)
+    with no_grad():
+        (logits,) = tc.logits([text])
+        (em,) = model.emissions([ex])
+        assert_same_bits(logits.data, tc.logits(text).data)
+        assert_same_bits(em.data, model.emissions(ex).data)
+    (dist,) = batch_distributions(tc, [text])
+    assert_same_bits(dist, tc.distributions(text))
+
+
+def test_element_bound_splits_a_batch_without_changing_bits(monkeypatch):
+    tc = truecaser(16, 24)
+    texts = mixed_texts(5)
+    whole = batch_distributions(tc, texts)
+    # room for 100 character steps of this truecaser per scan
+    monkeypatch.setattr(layers, "BATCH_ELEMENTS", 100 * 8 * 24)
+    scans = record_scans(monkeypatch)
+    split = batch_distributions(tc, texts)
+    assert_within_bound(scans, 24)
+    assert len(scans) > 10 and max(count for count, _ in scans) > 1
+    assert sum(count for count, _ in scans) == len(texts)
+    for a, b in zip(split, whole):
+        assert_same_bits(a, b)
+
+
+def test_recorded_forward_over_two_sentences_raises():
+    tc = truecaser(3, 2)
+    model = tagger(MODE_NONE, 3, 2)
+    with pytest.raises(InputError, match="no_grad"):
+        tc.logits(["ab", "cd"])
+    with pytest.raises(InputError, match="no_grad"):
+        model.emissions(sentences()[:2])
+    xs = [Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3)))]
+    with pytest.raises(InputError, match="no_grad"):
+        tc.rnn(xs)
+    with no_grad():
+        assert len(tc.logits(["ab", "cd"])) == len(tc.rnn(xs)) == 2
+
+
+def test_truecase_and_eval_pass_empty_and_blank_lines_through(tmp_path, capsys):
+    tc = truecaser(16, 24)
+    tc.save(str(tmp_path / "tc.ctr"))
+    lines = ["", "Alan met Rob .", "   ", "", "a", " \t ", "Rose saw Boston"]
+    (tmp_path / "in.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lowered = [lowercase_keep_length(line) for line in lines]
+    one_by_one = [apply_truecaser(tc, [line])[0] for line in lowered]
+    assert [one_by_one[i] for i in (0, 2, 3, 5)] == ["", "   ", "", " \t "]
+    assert main(["truecase", "--model", str(tmp_path / "tc.ctr"), "--input",
+                 str(tmp_path / "in.txt"), "--output", str(tmp_path / "out.txt"),
+                 "--lowercase"]) == 0
+    out = (tmp_path / "out.txt").read_text(encoding="utf-8").split("\n")[:-1]
+    assert out == one_by_one
+    capsys.readouterr()
+    assert main(["eval-truecaser", "--model", str(tmp_path / "tc.ctr"),
+                 "--gold", str(tmp_path / "in.txt")]) == 0
+    assert capsys.readouterr().out == char_f1(lines, one_by_one).block() + "\n"

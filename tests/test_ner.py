@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import casetag.ner as ner_module
 from casetag.config import RunConfig
 from casetag.errors import AlignmentError, ConfigError
-from casetag.metrics import Span
-from casetag.nn import Tensor, gradient_check, no_grad
+from casetag.metrics import Span, bio_decode
+from casetag.nn import BiLSTM, Tensor, gradient_check, no_grad
 from casetag.nn.tensor import _toposort
 from casetag.ner import (
     MODE_GOLD,
@@ -29,11 +29,10 @@ from casetag.ner import (
     gold_case_vectors,
     lowercase_dataset,
     lowercase_example,
-    predict,
     predict_tags,
     train_ner,
 )
-from casetag.truecaser import CharVocab, Truecaser, case_distributions_for_tokens, eval_truecaser
+from casetag.truecaser import CharVocab, Truecaser, case_distributions, eval_truecaser
 
 TINY = dict(word_emb_dim=6, ner_char_emb_dim=4, cnn_filters=5, cnn_width=3,
             ner_hidden_dim=3, dropout=0.0)
@@ -67,10 +66,12 @@ def tiny_model(dataset, mode=MODE_NONE, truecaser=None, seed=0, **overrides):
 def bilstm_input_shape(model, example):
     """The shape of the (L, word + filters) matrix emissions() feeds the BiLSTM."""
     seen = []
-    lstm = model.lstm
-    model.lstm = lambda xs: seen.append(xs.shape) or lstm(xs)
-    model.emissions(example)
-    model.lstm = lstm
+    call = BiLSTM.__call__
+    BiLSTM.__call__ = lambda self, xs: seen.extend(x.shape for x in xs) or call(self, xs)
+    try:
+        model.emissions(example)
+    finally:
+        BiLSTM.__call__ = call
     return seen[0]
 
 
@@ -101,8 +102,8 @@ def test_gold_case_vectors_one_hot():
 def test_predicted_mode_distribution_count_checked(monkeypatch):
     data = tiny_dataset()
     model = tiny_model(data, mode=MODE_PREDICTED, truecaser=tiny_truecaser(data))
-    monkeypatch.setattr(ner_module, "case_distributions_for_tokens",
-                        lambda truecaser, tokens, cache=None: np.zeros((2, 2)))
+    monkeypatch.setattr(ner_module, "case_distributions",
+                        lambda truecaser, token_lists: [np.zeros((2, 2)) for _ in token_lists])
     with pytest.raises(AlignmentError) as err:
         model.emissions(data[0])
     assert "Alan visited Boston ." in str(err.value)
@@ -124,9 +125,9 @@ def test_constant_halves_equal_manual_concat(monkeypatch):
     ex = data[0]
     with no_grad():
         via_truecaser = model.emissions(ex)
-        monkeypatch.setattr(ner_module, "case_distributions_for_tokens",
-                            lambda truecaser, tokens, cache=None:
-                            np.full((len(" ".join(tokens)), 2), 0.5))
+        monkeypatch.setattr(ner_module, "case_distributions",
+                            lambda truecaser, token_lists:
+                            [np.full((len(" ".join(tokens)), 2), 0.5) for tokens in token_lists])
         manual = model.emissions(ex)
     assert np.allclose(via_truecaser.data, manual.data, atol=1e-12, rtol=0)
 
@@ -143,7 +144,7 @@ CASING_ALPHABET = "aZ\u00df\u0130\u01c5\ufb01\u0301\u0327\u03a3."
 def test_case_vector_path_aligns_on_unicode_casing(tokens):
     data = tiny_dataset()
     model = tiny_model(data, mode=MODE_PREDICTED, truecaser=tiny_truecaser(data))
-    rows = case_distributions_for_tokens(model.truecaser, tokens)
+    rows, = case_distributions(model.truecaser, [tokens])
     assert rows.shape == (len(" ".join(tokens)), 2)
     example = NerExample(tokens, ["O"] * len(tokens))
     for ex in (example, lowercase_example(example)):
@@ -284,9 +285,8 @@ def test_lowercase_preserves_token_count():
 def test_predict_emits_wellformed_spans():
     data = tiny_dataset()
     model = tiny_model(data)
-    for ex in data:
-        spans = predict(model, ex)
-        for s in spans:
+    for ex, tags in zip(data, predict_tags(model, data)):
+        for s in bio_decode(tags):
             assert 0 <= s.start < s.end <= len(ex.tokens)
             assert s.label in {"PER", "LOC"}
 
@@ -308,9 +308,8 @@ def test_predict_matches_reference_bio_decoder():
 
     data = tiny_dataset()
     model = tiny_model(data, seed=11)
-    for ex in data:
-        tags = predict_tags(model, ex)
-        assert predict(model, ex) == reference_decode(tags)
+    for tags in predict_tags(model, data):
+        assert bio_decode(tags) == reference_decode(tags)
 
 
 # -- training regimes ---------------------------------------------------------------
@@ -394,7 +393,7 @@ def test_early_stopping_restores_best(monkeypatch):
         params = model.named_params() + (tc.named_params() if tc is not None else [])
         scripted, snapshots = iter([0.5, 0.7, 0.6, 0.6]), []
 
-        def fake_evaluate(model, dev, case_cache=None):
+        def fake_evaluate(model, dev, case_rows=None):
             snapshots.append({n: p.data.copy() for n, p in params})
             return SimpleNamespace(f1=next(scripted))
 
@@ -434,8 +433,7 @@ def test_model_save_load_same_predictions(tmp_path):
     again = NerModel.load(str(path))
     assert again.tagset == model.tagset
     assert again.case_mode == MODE_PREDICTED
-    for ex in data:
-        assert predict_tags(again, ex) == predict_tags(model, ex)
+    assert predict_tags(again, data) == predict_tags(model, data)
 
 
 def test_model_file_load_save_byte_identical(tmp_path):

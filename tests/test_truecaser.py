@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from casetag.config import RunConfig
 from casetag.errors import ConfigError, InputError
 from casetag.metrics import char_f1
+from casetag.nn import Tensor
 from casetag.truecaser import (
     LOWER,
     UPPER,
@@ -17,7 +18,7 @@ from casetag.truecaser import (
     Truecaser,
     TrainStats,
     apply_truecaser,
-    case_distributions_for_tokens,
+    case_distributions,
     case_labels,
     eval_truecaser,
     lowercase_keep_length,
@@ -177,7 +178,7 @@ def test_train_overfits_single_sentence():
     stats = TrainStats()
     model = train_truecaser(["Alan met Rob ."], cfg, stats=stats)
     assert stats.epoch_log[-1]["train_loss"] < 0.01
-    assert apply_truecaser(model, "alan met rob .") == "Alan met Rob ."
+    assert apply_truecaser(model, ["alan met rob ."]) == ["Alan met Rob ."]
 
 
 def test_train_reports_heldout_loss_per_epoch():
@@ -222,7 +223,7 @@ def test_train_deterministic_bit_for_bit():
 
 def test_well_trained_model_restores_name_was_alan():
     model = train_truecaser(OVERFIT_CORPUS, overfit_config(epochs=80))
-    assert apply_truecaser(model, "name was alan") == "name was Alan"
+    assert apply_truecaser(model, ["name was alan"]) == ["name was Alan"]
 
 
 def test_truecaser_gradients_three_char_input():
@@ -238,47 +239,48 @@ def test_truecaser_gradients_three_char_input():
 # -- apply -------------------------------------------------------------------------
 
 def test_apply_no_uppercase_forms_unchanged():
-    assert apply_truecaser(tiny_model(), "1234 !?") == "1234 !?"
+    assert apply_truecaser(tiny_model(), ["1234 !?"]) == ["1234 !?"]
 
 
 def test_apply_empty_string():
-    assert apply_truecaser(tiny_model(), "") == ""
+    assert apply_truecaser(tiny_model(), [""]) == [""]
 
 
 def test_apply_only_changes_case():
     model = tiny_model()
     text = "ab ba ab"
-    out = apply_truecaser(model, text)
+    out, = apply_truecaser(model, [text])
     assert len(out) == len(text)
     assert out.lower() == text.lower()
 
 
 def test_apply_uppercases_exact_ties():
     model = tiny_model()
-    model.distributions = lambda text: np.array(
-        [[0.5, 0.5], [0.2, 0.8], [0.5, 0.5], [0.9, 0.1], [0.5, 0.5]])
-    assert apply_truecaser(model, "ab cd") == "Ab CD"
+    # equal logits give exactly (0.5, 0.5)
+    model.logits = lambda texts: [Tensor(np.array(
+        [[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))]
+    assert apply_truecaser(model, ["ab cd"]) == ["Ab CD"]
 
 
 # -- token alignment -----------------------------------------------------------------
 
 def test_distributions_for_tokens_shapes():
     model = tiny_model()
-    assert case_distributions_for_tokens(model, ["ab", "b"]).shape == (4, 2)
-    assert case_distributions_for_tokens(model, ["abba"]).shape == (4, 2)
-    assert case_distributions_for_tokens(model, []).shape == (0, 2)
+    rows = case_distributions(model, [["ab", "b"], ["abba"], []])
+    assert [r.shape for r in rows] == [(4, 2), (4, 2), (0, 2)]
 
 
 def test_distributions_match_joined_input():
     model = tiny_model()
-    rows = case_distributions_for_tokens(model, ["AB", "b"])  # lowercased internally
+    rows, = case_distributions(model, [["AB", "b"]])  # lowercased internally
     assert np.array_equal(rows, model.distributions("ab b"))
 
 
 @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=5), min_size=1, max_size=4))
 def test_alignment_property_counts(tokens):
     model = tiny_model()
-    assert len(case_distributions_for_tokens(model, tokens)) == len(" ".join(tokens))
+    rows, = case_distributions(model, [tokens])
+    assert len(rows) == len(" ".join(tokens))
 
 
 # -- evaluation --------------------------------------------------------------------
