@@ -9,7 +9,11 @@ dropout 0.25 and 0.0; train-ner with a dev file in case modes none and gold
 and in predicted mode with the fixed, finetuned (--patience 1) and scratch
 regimes; then eval-truecaser, truecase, tag and eval-ner.  The truecaser's
 learning rate is high enough that it predicts capitals on the test file, so
-truecase runs its uppercase path.  Every path is relative to the
+truecase runs its uppercase path.  Then tag with the taggers of case modes
+none and gold, and train-ner, tag and eval-ner with frozen word vectors
+(--embeddings), from a seeded file that the script writes for every other
+word of the training file; that tagger trains at --lr 0.01, where it finds
+entities on the test file, so its tags depend on its scores.  Every path is relative to the
 temporary directory, so two runs of the same code print the same lines, and
 two versions of the code that train the same bytes print the same lines.
 Compare the output of two checkouts with diff.  Exits 1 if a command fails.
@@ -22,6 +26,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from casetag.cli import main as casetag_main
 
@@ -56,7 +62,29 @@ STEPS = [
              "--output", "tagged.conll"]),
     ("eval-ner", ["eval-ner", "--model", "finetuned.ctr", "--test", "fx/ner_test.conll",
                   "--lowercase"]),
+    ("tag-none", ["tag", "--model", "none.ctr", "--input", "fx/ner_test.conll", "--lowercase",
+                  "--output", "tagged_none.conll"]),
+    ("tag-gold", ["tag", "--model", "gold.ctr", "--input", "fx/ner_test.conll", "--lowercase",
+                  "--output", "tagged_gold.conll"]),
+    ("ner-emb", ["train-ner", *NER, "--output", "emb.ctr", "--embeddings", "emb.txt",
+                 "--lr", "0.01"]),
+    ("tag-emb", ["tag", "--model", "emb.ctr", "--input", "fx/ner_test.conll", "--lowercase",
+                 "--output", "tagged_emb.conll"]),
+    ("eval-emb", ["eval-ner", "--model", "emb.ctr", "--test", "fx/ner_test.conll",
+                  "--lowercase"]),
 ]
+EMB_DIM = 16  # NER's --word-emb-dim
+
+
+def write_embeddings(conll: Path, path: Path) -> None:
+    """Seeded vectors for every other distinct lowercased word of a CoNLL
+    file, so the tagger also meets words without one."""
+    words = dict.fromkeys(line.split()[0].lower()
+                          for line in conll.read_text(encoding="utf-8").splitlines() if line)
+    rng = np.random.default_rng(0)
+    with open(path, "w", encoding="utf-8") as fh:
+        for word in list(words)[::2]:
+            fh.write(" ".join([word] + [f"{v:.6f}" for v in rng.normal(size=EMB_DIM)]) + "\n")
 
 
 def sha256(path: Path) -> str:
@@ -69,6 +97,7 @@ def main() -> int:
         subprocess.run([sys.executable, str(FIXTURES), "--out", str(work / "fx")],
                        check=True, stdout=subprocess.DEVNULL)
         os.chdir(work)
+        write_embeddings(work / "fx" / "ner_train.conll", work / "emb.txt")
         (work / "logs").mkdir()
         for name, argv in STEPS:
             with open(f"logs/{name}.out", "w", encoding="utf-8") as out, \

@@ -1,4 +1,5 @@
-"""Linear-chain CRF: the NLL loss as one tape node, and Viterbi decoding.
+"""Linear-chain CRF: the NLL loss as one tape node, and Viterbi decoding in
+padded batches of sentences.
 
 Path score = start[y_1] + sum_t emissions[t, y_t]
            + sum_t transitions[y_t, y_{t+1}] + end[y_L].
@@ -16,7 +17,7 @@ import numpy as np
 
 from casetag.errors import InputError, NumericError
 from casetag.nn.tensor import Tensor, _records, _result
-from casetag.nn.layers import glorot
+from casetag.nn.layers import glorot, length_batches
 from casetag.nn import zeros
 
 
@@ -33,12 +34,20 @@ class Crf:
         return [("trans", self.trans), ("start", self.start), ("end", self.end)]
 
 
-def _check_emissions(emissions, num_tags: int) -> np.ndarray:
+def _emission_matrix(emissions, num_tags: int) -> np.ndarray:
     data = emissions.data if isinstance(emissions, Tensor) else np.asarray(emissions, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
         raise InputError(f"emissions must be a non-empty (L, T) matrix, got shape {data.shape}")
     if data.shape[1] != num_tags:
         raise InputError(f"emissions have {data.shape[1]} tag columns, CRF has {num_tags}")
+    return data
+
+
+def _check_emissions(emissions, num_tags: int) -> np.ndarray:
+    return _check_finite(_emission_matrix(emissions, num_tags))
+
+
+def _check_finite(data: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise NumericError("emissions contain non-finite scores")
     return data
@@ -127,22 +136,50 @@ def crf_nll(emissions: Tensor, tags, crf: Crf) -> Tensor:
     return _result(np.asarray(log_z - _gold_score(em, trans, start, end, tags)), parents, bw)
 
 
-def viterbi_decode(emissions, crf: Crf) -> list[int]:
-    """Argmax tag sequence; ties resolved toward the lowest tag index."""
-    em = _check_emissions(emissions, crf.num_tags)
+def viterbi_decode(emissions, crf: Crf):
+    """Argmax tag sequence of one (L, T) emission matrix, ties resolved
+    toward the lowest tag index; given a list of them, the list of their
+    sequences, each the one its matrix gives alone.  A list is decoded in
+    padded (S, L, T) batches of similar length (length_batches), each in one
+    loop over the steps."""
+    if isinstance(emissions, (np.ndarray, Tensor)):
+        return viterbi_decode([emissions], crf)[0]
+    ems = [_emission_matrix(em, crf.num_tags) for em in emissions]
+    paths = [None] * len(ems)
+    for batch in length_batches([len(em) for em in ems], crf.num_tags):
+        for i, path in zip(batch, _viterbi([ems[i] for i in batch], crf)[0]):
+            paths[i] = path
+    return paths
+
+
+def _viterbi(ems: list, crf: Crf) -> tuple[list, np.ndarray]:
+    """The best paths of the S emission matrices ems, sorted longest first,
+    and their scores.  Step t updates the first n rows, those still running;
+    every sum, maximum and tie of a row is elementwise, so it is the one of
+    the row's matrix decoded alone."""
+    lengths = [len(em) for em in ems]
+    L, S, T = lengths[0], len(ems), crf.num_tags
+    em = np.zeros((L, S, T))
+    for s, e in enumerate(ems):
+        em[:lengths[s], s] = e
+    _check_finite(em)  # the padding is zeros
+    # running[t]: the number of rows that have a step t
+    running = S - np.searchsorted(lengths[::-1], np.arange(L), side="right")
     trans = crf.trans.data
-    L, T = em.shape
     score = crf.start.data + em[0]
-    back = np.zeros((L, T), dtype=np.intp)
+    back = np.zeros((L, S, T), dtype=np.intp)
     for t in range(1, L):
-        cand = score[:, None] + trans  # [i, j]
-        back[t] = np.argmax(cand, axis=0)
-        score = cand[back[t], np.arange(T)] + em[t]
+        n = running[t]
+        cand = score[:n, :, None] + trans  # [s, i, j]
+        back[t, :n] = np.argmax(cand, axis=1)
+        score[:n] = np.take_along_axis(cand, back[t, :n, None], axis=1)[:, 0] + em[t, :n]
     score = score + crf.end.data
-    best = int(np.argmax(score))
-    path = [best]
-    for t in range(L - 1, 0, -1):
-        best = int(back[t, best])
-        path.append(best)
-    path.reverse()
-    return path
+    best = np.argmax(score, axis=1)
+    scores = score[np.arange(S), best]
+    path = np.empty((L, S), dtype=np.intp)
+    for t in range(L - 1, -1, -1):
+        n = running[t]
+        path[t, :n] = best[:n]
+        if t:
+            best[:n] = back[t, np.arange(n), best[:n]]
+    return [row[:length] for row, length in zip(path.T.tolist(), lengths)], scores

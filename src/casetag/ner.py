@@ -25,15 +25,18 @@ training mode for that loss and once in evaluation mode for the case vectors.
 
 NerModel.emissions is the tagger's one forward: training records it on the
 tape for one sentence, and evaluation and tagging run it under no_grad over
-a whole dataset, whose sentences share BiLSTM scans in batches of similar
-length.  It builds a handful of nodes per sentence: the character rows of
-the space-joined sentence, the char CNN over every token at once, the word
-vectors, the BiLSTM and the output layer.
+a whole dataset, in batches of sentences of similar length.  It builds a
+handful of nodes per batch: the character rows of the space-joined
+sentences, the char CNN over every token at once, the word vectors, the
+BiLSTM and the output layer.  predict_tags then decodes all the sentences
+in padded batches (viterbi_decode).  Each example carries the lowercased
+text that the truecaser reads (NerExample.lowered_text), so a command
+lowercases a sentence once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import zip_longest
 
 import numpy as np
@@ -67,6 +70,7 @@ from casetag.nn import (
     restore_params,
     store_params,
 )
+from casetag.nn.layers import split_rows
 from casetag.nn.tensor import _result
 from casetag.truecaser import (
     CharVocab,
@@ -83,6 +87,8 @@ class NerExample:
     tokens: list[str]
     tags: list[str]
     cased_tokens: list[str] | None = None  # original surfaces when tokens were lowercased
+    # lowered_text(), once computed; the tokens are not changed after that
+    lowered: str | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.tokens) != len(self.tags):
@@ -91,12 +97,25 @@ class NerExample:
     def source_tokens(self) -> list[str]:
         return self.cased_tokens if self.cased_tokens is not None else self.tokens
 
+    def lowered_text(self) -> str:
+        """The truecaser's input: lowercase_keep_length of the space-joined
+        tokens, computed once and carried with the example."""
+        if self.lowered is None:
+            self.lowered = lowercase_keep_length(" ".join(self.tokens))
+        return self.lowered
+
 
 def lowercase_example(example: NerExample) -> NerExample:
-    return NerExample(
-        tokens=[lowercase_keep_length(tok) for tok in example.tokens],
-        tags=list(example.tags),
-        cased_tokens=list(example.source_tokens()))
+    """The example with every token lowercased, cut from the lowercased
+    space-joined tokens, which it carries as its lowered_text(): lowercasing
+    is per character, so that text is also the lowered text of the new
+    tokens.  The source example is not changed."""
+    lowered = example.lowered or lowercase_keep_length(" ".join(example.tokens))
+    tokens, start = [], 0
+    for token in example.tokens:
+        tokens.append(lowered[start:start + len(token)])
+        start += len(token) + 1  # skip the joining space
+    return NerExample(tokens, list(example.tags), list(example.source_tokens()), lowered)
 
 
 def lowercase_dataset(dataset: list[NerExample]) -> list[NerExample]:
@@ -152,11 +171,12 @@ class EmbeddingTable:
         unk = rng.uniform(-limit, limit, size=dim)
         return cls(words, vectors, unk, trainable=True)
 
+    def named_arrays(self):
+        """Every array the table reads, trained or frozen."""
+        return [("unk", self.unk), ("vectors", self.vectors)]
+
     def named_params(self):
-        params = [("unk", self.unk)]
-        if self.trainable:
-            params.append(("vectors", self.vectors))
-        return params
+        return [(name, p) for name, p in self.named_arrays() if p.requires_grad]
 
 
 def build_word_list(dataset: list[NerExample]) -> list[str]:
@@ -194,11 +214,13 @@ _META_DIMS = (("word_emb_dim", "word_emb_dim"), ("char_emb_dim", "ner_char_emb_d
 class NerModel:
     def __init__(self, word_table: EmbeddingTable, tagset: list[str],
                  char_vocab: CharVocab, cfg: RunConfig,
-                 truecaser: Truecaser | None = None, seed: int = 0):
+                 truecaser: Truecaser | None = None, seed: int | None = 0):
+        """seed None draws nothing and leaves every parameter zero, for a
+        model whose parameters are loaded next."""
         cfg.validate()
         if cfg.case_mode == MODE_PREDICTED and truecaser is None:
             raise ConfigError("predicted case mode needs an attached truecaser")
-        rng = np.random.default_rng(seed)
+        rng = None if seed is None else np.random.default_rng(seed)
         self.cfg = cfg
         self.word_table = word_table
         self.tagset = list(tagset)
@@ -214,7 +236,12 @@ class NerModel:
         self.crf = Crf(len(self.tagset), rng)
 
     def named_params(self):
-        out = prefixed("ner.words", self.word_table)
+        return [(name, p) for name, p in self.named_arrays() if p.requires_grad]
+
+    def named_arrays(self):
+        """Every array the model reads, which a model file stores: the
+        parameters, and the word vectors when they are frozen."""
+        out = [("ner.words." + name, p) for name, p in self.word_table.named_arrays()]
         out += prefixed("ner.chars", self.char_emb)
         out += prefixed("ner.cnn", self.cnn)
         out += prefixed("ner.lstm", self.lstm)
@@ -227,15 +254,16 @@ class NerModel:
     def _case_rows(self, examples: list[NerExample], case_rows: list | None) -> list:
         """Each example's two case columns appended to the character rows of
         its space-joined sentence, or None for each in mode none.  In
-        predicted mode case_rows, when given, holds them already
-        (case_distributions of the examples' tokens); otherwise the truecaser
-        computes them here, in one batched pass."""
+        predicted mode case_rows, when given, holds them already (the
+        truecaser's distributions over each example's lowered_text());
+        otherwise the truecaser computes them here, in one batched pass."""
         if self.case_mode == MODE_PREDICTED:
             if case_rows is None:
-                case_rows = case_distributions(self.truecaser, [ex.tokens for ex in examples])
+                case_rows = case_distributions(self.truecaser,
+                                               [ex.lowered_text() for ex in examples])
             for example, rows in zip(examples, case_rows):
-                text = " ".join(example.tokens)
-                if len(rows) != len(text):
+                if len(rows) != sum(map(len, example.tokens)) + len(example.tokens) - 1:
+                    text = " ".join(example.tokens)
                     raise AlignmentError(f"sentence {text!r} needs {len(text)} case "
                                          f"distributions, got {len(rows)}")
             return case_rows
@@ -257,10 +285,16 @@ class NerModel:
         """(L, tags) scores of a sentence of L tokens, for one example, or a
         list of them for a list of examples.  Each token's input to the
         BiLSTM is its word vector beside the char-CNN encoding of its
-        characters, built for the whole sentence at once.  A list runs in
-        batches of similar length (BiLSTM.map_batches) under no_grad, with
-        the scores of one sentence at a time, bit for bit; training passes a
-        list of one.  case_rows is passed to _case_rows."""
+        characters.  A list runs in batches of similar length
+        (BiLSTM.map_batches) under no_grad, with the scores of one sentence
+        at a time, bit for bit; training passes a list of one.  case_rows is
+        passed to _case_rows.
+
+        Per batch, the character ids, the character and word lookups, the
+        case-row concatenation, the CNN's window indices, tanh and max, and
+        the BiLSTM's scan run once over all the batch's sentences; per
+        sentence run only the gemms: the CNN's, the BiLSTM's input
+        projections and the output layer's."""
         one = isinstance(examples, NerExample)
         examples = [examples] if one else examples
         if not all(ex.tokens for ex in examples):
@@ -268,24 +302,28 @@ class NerModel:
         case_rows = self._case_rows(examples, case_rows)
 
         def forward(batch):
-            xs = [dropout(self._token_inputs(ex, rows), self.cfg.dropout, rng, train)
-                  for ex, rows in batch]
-            return [self.emit(dropout(hidden, self.cfg.dropout, rng, train))
-                    for hidden in self.lstm(xs)]
+            x = dropout(self._token_inputs(batch), self.cfg.dropout, rng, train)
+            hidden = self.lstm(split_rows(x, [len(ex.tokens) for ex, _ in batch]))
+            return self.emit([dropout(h, self.cfg.dropout, rng, train) for h in hidden])
         out = self.lstm.map_batches(forward, list(zip(examples, case_rows)),
                                     [len(ex.tokens) for ex in examples])
         return out[0] if one else out
 
-    def _token_inputs(self, example: NerExample, case_rows: np.ndarray | None) -> Tensor:
-        """The (L, word + filters) BiLSTM input of a sentence of L tokens."""
-        chars = self.char_emb(self.char_vocab.encode(" ".join(example.tokens)))
-        if case_rows is not None:
-            chars = concat([chars, Tensor(case_rows)], axis=1)
-        spans, start = [], 0
-        for token in example.tokens:
-            spans.append((start, start + len(token)))
-            start += len(token) + 1  # skip the joining space
-        return concat([self.word_table(example.tokens), self.cnn(chars, spans)], axis=1)
+    def _token_inputs(self, batch: list) -> Tensor:
+        """The (N, word + filters) BiLSTM inputs of the N tokens of the
+        batch's (example, case rows) pairs, sentence after sentence."""
+        texts = [" ".join(ex.tokens) for ex, _ in batch]
+        chars = self.char_emb(self.char_vocab.encode("".join(texts)))
+        if batch[0][1] is not None:
+            chars = concat([chars, Tensor(np.concatenate([rows for _, rows in batch]))], axis=1)
+        tokens = [token for ex, _ in batch for token in ex.tokens]
+        counts = [len(ex.tokens) for ex, _ in batch]
+        # each token and the space after it, except after a sentence's last token
+        lengths = np.array([len(token) for token in tokens], dtype=np.intp)
+        starts = np.cumsum(lengths + 1) - (lengths + 1)
+        starts -= np.repeat(np.arange(len(batch)), counts)
+        spans = np.stack([starts, starts + lengths], axis=1)
+        return concat([self.word_table(tokens), self.cnn(chars, spans, counts)], axis=1)
 
     def tag_ids(self, tags: list[str]) -> np.ndarray:
         try:
@@ -306,7 +344,7 @@ class NerModel:
         c.sections["tags"] = list(self.tagset)
         c.sections["words"] = list(self.word_table.words)
         c.sections["char_vocab"] = self.char_vocab.to_lines()
-        store_params(c, self.named_params())
+        store_params(c, self.named_arrays())
         if self.truecaser is not None:
             self.truecaser.to_container(c)
         return c
@@ -328,18 +366,22 @@ class NerModel:
             truecaser = Truecaser.from_container(c)
         char_vocab = CharVocab.from_lines(c.get_section("char_vocab"),
                                           f"{c.path} section char_vocab")
-        model = cls(table, c.get_section("tags"), char_vocab, cfg, truecaser=truecaser)
-        restore_params(c, model.named_params())
+        model = cls(table, c.get_section("tags"), char_vocab, cfg, truecaser=truecaser,
+                    seed=None)
+        restore_params(c, model.named_arrays())
         return model
 
 
 def predict_tags(model: NerModel, examples: list[NerExample],
                  case_rows: list | None = None) -> list[list[str]]:
-    """The Viterbi tags of each example, from one batched forward under
-    no_grad; case_rows is passed to emissions."""
+    """The Viterbi tags of each example: one forward under no_grad
+    (emissions, batched, with the per-sentence gemms it lists) and one
+    decode of all the scores in padded batches (viterbi_decode), each
+    sentence's tags bit for bit those of the sentence alone; case_rows is
+    passed to emissions."""
     with no_grad():
         scores = model.emissions(examples, case_rows=case_rows)
-    return [[model.tagset[i] for i in viterbi_decode(em.data, model.crf)] for em in scores]
+    return [[model.tagset[i] for i in path] for path in viterbi_decode(scores, model.crf)]
 
 
 def evaluate_ner(model: NerModel, dataset: list[NerExample],
@@ -375,7 +417,8 @@ def train_ner(dataset: list[NerExample], model: NerModel,
     # serves every epoch and dev pass
     rows, dev_rows = [None] * len(dataset), None
     if cfg.case_mode == MODE_PREDICTED and not aux_active:
-        rows = case_distributions(model.truecaser, [ex.tokens for ex in dataset + (dev or [])])
+        rows = case_distributions(model.truecaser,
+                                  [ex.lowered_text() for ex in dataset + (dev or [])])
         rows, dev_rows = rows[:len(dataset)], rows[len(dataset):]
 
     def loss_fn(item, rng: np.random.Generator) -> Tensor:

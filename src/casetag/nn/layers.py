@@ -15,10 +15,22 @@ Under no_grad an LSTM runs a list of sequences in one loop too, with an
 (S, 2, H) state sorted longest first, so the overhead is paid once per batch
 of sentences; every row gets the floats of its sentence run alone.
 BiLSTM.map_batches cuts a model's sentences into such batches, bounded by
-BATCH_ELEMENTS.
+BATCH_ELEMENTS (length_batches).
+
+The rest of a batched forward runs once per batch as well, over the rows of
+all its sentences stacked: lookups, the char CNN's window indices, its tanh
+and its max, and the bias additions.  Each is elementwise or a gather, so a
+row's floats do not depend on the rows around it.  A gemm's do: the rows of
+one product over stacked inputs can differ from those of the product over
+one input.  So every gemm stays per sentence, on that sentence's contiguous
+rows: the LSTM's input projections, the char CNN's windows @ W.T (CharCNN's
+counts) and a Linear over a list.  split_rows and row_blocks cut stacked
+rows back into sentences.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -31,7 +43,11 @@ OUTER_BLOCK = 32768
 BATCH_ELEMENTS = 131072
 
 
-def glorot(shape: tuple[int, int], rng: np.random.Generator) -> Tensor:
+def glorot(shape: tuple[int, int], rng: np.random.Generator | None) -> Tensor:
+    """A trainable matrix drawn uniformly from ±sqrt(6/(fan_in+fan_out));
+    zeros without an rng, for a model whose parameters are loaded next."""
+    if rng is None:
+        return zeros(shape, requires_grad=True)
     limit = np.sqrt(6.0 / (shape[0] + shape[1]))
     return Tensor(rng.uniform(-limit, limit, size=shape).astype(DTYPE), requires_grad=True)
 
@@ -45,15 +61,50 @@ class Linear:
         self.W = glorot((out_dim, in_dim), rng)
         self.b = zeros((out_dim,), requires_grad=True)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_dim:
-            raise ConfigError(
-                f"linear layer expects inner dimension {self.in_dim}, "
-                f"got input shape {x.shape} against weight shape {self.W.shape}")
-        return x @ self.W.T + self.b
+    def __call__(self, x):
+        """x @ W.T + b of one Tensor, as a tape node, or of each of a list of
+        them, a list back.  A list of several is a constant: one gemm per
+        item, each with the floats of its call alone, and one bias addition
+        over all their rows, whose results are views of one array."""
+        xs = [x] if isinstance(x, Tensor) else list(x)
+        for item in xs:
+            if item.shape[-1] != self.in_dim:
+                raise ConfigError(
+                    f"linear layer expects inner dimension {self.in_dim}, "
+                    f"got input shape {item.shape} against weight shape {self.W.shape}")
+        if len(xs) == 1:
+            out = xs[0] @ self.W.T + self.b
+            return out if isinstance(x, Tensor) else [out]
+        if _records(tuple(xs) + (self.W, self.b)):
+            raise InputError("a recorded linear layer takes one input; run a batch under no_grad")
+        counts = [item.shape[0] for item in xs]
+        stacked = np.empty((sum(counts), self.out_dim), dtype=DTYPE)
+        W_T = self.W.data.T
+        for block, item in zip(row_blocks(stacked, counts), xs):
+            block[...] = item.data @ W_T
+        stacked += self.b.data
+        return [Tensor(block) for block in row_blocks(stacked, counts)]
 
     def named_params(self):
         return [("W", self.W), ("b", self.b)]
+
+
+def row_blocks(a: np.ndarray, counts) -> list[np.ndarray]:
+    """Views of the consecutive runs of counts[0], counts[1], ... rows of a."""
+    ends = list(accumulate(counts))
+    return [a[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
+
+def split_rows(x: Tensor, counts) -> list[Tensor]:
+    """x cut into the consecutive runs of counts[0], counts[1], ... rows, for
+    a layer that takes a list: [x] itself for one run, which keeps its tape,
+    and otherwise constants over views of x, which need no_grad."""
+    if len(counts) == 1:
+        return [x]
+    if _records((x,)):
+        raise InputError("a recorded tensor cannot be split into constants; "
+                         "run a batch under no_grad")
+    return [Tensor(block) for block in row_blocks(x.data, counts)]
 
 
 class Embedding:
@@ -273,6 +324,21 @@ def _outputs(runs: tuple, states: np.ndarray) -> np.ndarray:
                            for k, (_, reverse) in enumerate(runs)], axis=1)
 
 
+def length_batches(lengths: list[int], step_elements: int) -> list[list[int]]:
+    """The indices of lengths in runs, longest first (ties in input order),
+    cut so that the longest length of a run times its count times
+    step_elements stays within BATCH_ELEMENTS; an item over the bound is a
+    run of its own."""
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    batches = []
+    while order:
+        # order[0] is the longest item of the batch it starts
+        count = max(1, BATCH_ELEMENTS // (lengths[order[0]] * step_elements))
+        batches.append(order[:count])
+        order = order[count:]
+    return batches
+
+
 class BiLSTM:
     """Concatenates forward and backward LSTM states per position, width
     2*hidden, as one tape node over both cells."""
@@ -301,11 +367,7 @@ class BiLSTM:
             raise InputError("a forward over several sentences runs under no_grad; "
                              "a recorded forward takes one")
         out = [None] * len(items)
-        order = sorted(range(len(items)), key=lambda i: -lengths[i])
-        while order:
-            # order[0] is the longest item of the batch it starts
-            count = max(1, BATCH_ELEMENTS // (lengths[order[0]] * 8 * self.hidden_dim))
-            batch, order = order[:count], order[count:]
+        for batch in length_batches(lengths, 8 * self.hidden_dim):
             for i, result in zip(batch, forward([items[i] for i in batch])):
                 out[i] = result
         return out
@@ -329,14 +391,20 @@ class CharCNN:
         self.W = glorot((filters, width * in_dim), rng)
         self.b = zeros((filters,), requires_grad=True)
 
-    def __call__(self, chars: Tensor, spans) -> Tensor:
+    def __call__(self, chars: Tensor, spans, counts=None) -> Tensor:
         """(L, filters) encodings of the L tokens whose rows of the (n, in_dim)
         sentence matrix chars are spans[k] = (start, end), as one tape node.
 
         Each token's windows read only its own rows, zero-padded at its edges
         as if it stood alone, so rows between tokens (the joining spaces)
         never enter a window.  The gradient of each maximum goes to its first
-        maximal position."""
+        maximal position.
+
+        chars may hold the rows of a batch of sentences, one after another,
+        with counts[i] the number of tokens of sentence i.  Then the window
+        indices, the tanh and the max run once over every token of the batch,
+        and the windows of each sentence go through their own gemm, so each
+        sentence gets the floats of a call over it alone."""
         d = chars.shape[1]
         if d != self.in_dim:
             raise ConfigError(f"char CNN expects vectors of dim {self.in_dim}, got {d}")
@@ -355,7 +423,13 @@ class CharCNN:
         padded = np.concatenate([np.zeros((1, d), dtype=DTYPE), chars.data])
         windows = padded[src].reshape(P, self.width * d)
         W = self.W.data
-        acts = np.tanh(windows @ W.T + self.b.data)  # (P, filters)
+        # each sentence's windows, from the first position of its first token
+        counts = [len(lengths)] if counts is None else counts
+        bounds = firsts[np.cumsum(counts) - counts].tolist() + [P]
+        z = np.empty((P, self.filters), dtype=DTYPE)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            z[a:b] = windows[a:b] @ W.T
+        acts = np.tanh(z + self.b.data)  # (P, filters)
 
         def bw(g):
             dz = np.zeros_like(acts)

@@ -138,11 +138,13 @@ def store_params(container: Container, named_params: list) -> None:
 
 
 def restore_params(container: Container, named_params: list) -> None:
+    """Copy each named array of the container into its tensor; a ParseError
+    naming the file and the array when one is missing or misshapen."""
     for name, tensor in named_params:
         if name not in container.arrays:
-            raise ParseError(f"container is missing parameter {name}")
-        arr = container.arrays[name].astype(np.float64)
+            raise ParseError(f"{container.path}: container is missing array {name}")
+        arr = container.arrays[name]
         if arr.shape != tensor.data.shape:
-            raise ParseError(
-                f"parameter {name}: stored shape {arr.shape} vs model shape {tensor.data.shape}")
+            raise ParseError(f"{container.path}: array {name} has stored shape {arr.shape} "
+                             f"vs model shape {tensor.data.shape}")
         tensor.data[...] = arr

@@ -32,6 +32,7 @@ from casetag.nn import (
     softmax_np,
     store_params,
 )
+from casetag.nn.layers import row_blocks, split_rows
 
 # class order of every case distribution: index 0 = uppercase, 1 = lowercase
 UPPER, LOWER = 0, 1
@@ -44,7 +45,12 @@ def case_labels(text: str) -> np.ndarray:
 
 def lowercase_keep_length(text: str) -> str:
     """Simple per-character lowercasing.  Characters whose lowercase form is
-    not a single character are passed through unchanged."""
+    not a single character are passed through unchanged.  ASCII text takes
+    str.lower(), which maps it character by character; other text does not
+    (str.lower() gives a final sigma by context and lowercases İ to two
+    characters), so it runs the per-character loop."""
+    if text.isascii():
+        return text.lower()
     out = []
     for ch in text:
         low = ch.lower()
@@ -128,8 +134,10 @@ class CharVocab:
 
 class Truecaser:
     def __init__(self, vocab: CharVocab, char_emb_dim: int = 50, hidden_dim: int = 100,
-                 dropout_rate: float = 0.25, seed: int = 0):
-        rng = np.random.default_rng(seed)
+                 dropout_rate: float = 0.25, seed: int | None = 0):
+        """seed None draws nothing and leaves every parameter zero, for a
+        model whose parameters are loaded next."""
+        rng = None if seed is None else np.random.default_rng(seed)
         self.vocab = vocab
         self.char_emb_dim = char_emb_dim
         self.hidden_dim = hidden_dim
@@ -147,17 +155,22 @@ class Truecaser:
         """(n, 2) class scores, one row per input character, of one text, or
         a list of them for a list of texts.  A list runs in batches of
         similar length (BiLSTM.map_batches) under no_grad, with the scores
-        of one text at a time, bit for bit; training passes one text."""
+        of one text at a time, bit for bit; training passes one text.
+
+        Per batch, the character ids and the embedding lookup run once over
+        the batch's texts joined, and the BiLSTM runs one scan; per text run
+        only the gemms: the BiLSTM's input projections and the output
+        layer's product."""
         one = isinstance(texts, str)
         texts = [texts] if one else texts
         if not all(texts):
             raise InputError("truecaser forward over an empty string")
 
         def forward(batch):
-            vecs = [dropout(self.emb(self.vocab.encode(text)), self.dropout_rate, rng, train)
-                    for text in batch]
-            return [self.out(dropout(hidden, self.dropout_rate, rng, train))
-                    for hidden in self.rnn(vecs)]
+            vecs = dropout(self.emb(self.vocab.encode("".join(batch))), self.dropout_rate,
+                           rng, train)
+            hidden = self.rnn(split_rows(vecs, [len(text) for text in batch]))
+            return self.out([dropout(h, self.dropout_rate, rng, train) for h in hidden])
         out = self.rnn.map_batches(forward, texts, [len(text) for text in texts])
         return out[0] if one else out
 
@@ -194,7 +207,7 @@ class Truecaser:
         model = cls(vocab,
                     char_emb_dim=c.get_meta("tc.char_emb_dim", int),
                     hidden_dim=c.get_meta("tc.hidden_dim", int),
-                    dropout_rate=c.get_meta("tc.dropout", float))
+                    dropout_rate=c.get_meta("tc.dropout", float), seed=None)
         restore_params(c, model.named_params())
         return model
 
@@ -310,12 +323,17 @@ def held_out_loss(model: Truecaser, sentences: list[str]) -> float:
 
 
 def batch_distributions(model: Truecaser, texts: list[str]) -> list[np.ndarray]:
-    """model.distributions(text) of each text, bit for bit, from one batched
-    forward; an empty text gets no rows."""
+    """model.distributions(text) of each text, bit for bit: one batched
+    forward over the non-empty texts, then one softmax over all their rows.
+    An empty text gets no rows."""
+    kept = [text for text in texts if text]
+    if not kept:
+        return [np.zeros((0, 2)) for _ in texts]
     with no_grad():
-        logits = iter(model.logits([text for text in texts if text]))
-    return [softmax_np(next(logits).data, axis=-1) if text else np.zeros((0, 2))
-            for text in texts]
+        logits = model.logits(kept)
+    probs = iter(row_blocks(softmax_np(np.concatenate([scores.data for scores in logits]),
+                                       axis=-1), [len(text) for text in kept]))
+    return [next(probs) if text else np.zeros((0, 2)) for text in texts]
 
 
 def apply_truecaser(model: Truecaser, texts: list[str]) -> list[str]:
@@ -327,12 +345,11 @@ def apply_truecaser(model: Truecaser, texts: list[str]) -> list[str]:
             for text, dist in zip(texts, batch_distributions(model, texts))]
 
 
-def case_distributions(model: Truecaser, token_lists: list[list[str]]) -> list[np.ndarray]:
-    """For each token sequence, the truecaser's (n, 2) distribution rows over
-    the n characters of the space-joined, lowercased tokens, the joining
+def case_distributions(model: Truecaser, texts: list[str]) -> list[np.ndarray]:
+    """For each of the lowercased, space-joined sentences texts, the
+    truecaser's (n, 2) distribution rows over its n characters, the joining
     spaces' rows included; each distinct text runs once, in one batched
     forward."""
-    texts = [lowercase_keep_length(" ".join(tokens)) for tokens in token_lists]
     distinct = list(dict.fromkeys(texts))
     rows = dict(zip(distinct, batch_distributions(model, distinct)))
     return [rows[text] for text in texts]

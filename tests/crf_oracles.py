@@ -107,3 +107,27 @@ def brute_force_best(emissions, crf: Crf) -> tuple[float, list[int]]:
         if s > best_score:
             best_score, best_path = s, list(p)
     return best_score, best_path
+
+
+# -- the one-sentence decoder ---------------------------------------------------------
+
+def viterbi_one(emissions, crf: Crf) -> tuple[list[int], float]:
+    """The best path of one sentence and its score, decoded alone: the loop
+    that viterbi_decode ran per sentence before it decoded batches."""
+    em = _check_emissions(emissions, crf.num_tags)
+    trans = crf.trans.data
+    L, T = em.shape
+    score = crf.start.data + em[0]
+    back = np.zeros((L, T), dtype=np.intp)
+    for t in range(1, L):
+        cand = score[:, None] + trans  # [i, j]
+        back[t] = np.argmax(cand, axis=0)
+        score = cand[back[t], np.arange(T)] + em[t]
+    score = score + crf.end.data
+    best = int(np.argmax(score))
+    path = [best]
+    for t in range(L - 1, 0, -1):
+        best = int(back[t, best])
+        path.append(best)
+    path.reverse()
+    return path, score[path[-1]]

@@ -5,10 +5,14 @@ time, bit for bit; and the frozen truecaser's case rows in train_ner."""
 import numpy as np
 import pytest
 
+import casetag.crf as crf_module
+import casetag.ner as ner_module
 import casetag.nn.layers as layers
+import casetag.truecaser as truecaser_module
 from casetag.cli import main
 from casetag.config import RunConfig
-from casetag.crf import viterbi_decode
+from casetag.crf import Crf, _viterbi, viterbi_decode
+from casetag.data import read_conll, write_conll
 from casetag.errors import InputError
 from casetag.metrics import char_f1
 from casetag.ner import (
@@ -48,6 +52,7 @@ from casetag.truecaser import (
     lowercase_keep_length,
 )
 
+from crf_oracles import viterbi_one
 from tape_oracles import sigmoid
 
 DIMS = [(16, 24), (50, 100)]  # (char embedding, hidden): desk and paper sizes
@@ -425,3 +430,144 @@ def test_truecase_and_eval_pass_empty_and_blank_lines_through(tmp_path, capsys):
     assert main(["eval-truecaser", "--model", str(tmp_path / "tc.ctr"),
                  "--gold", str(tmp_path / "in.txt")]) == 0
     assert capsys.readouterr().out == char_f1(lines, one_by_one).block() + "\n"
+
+
+# -- the batched inference tail: Viterbi, char CNN, output layer, elementwise ops ------
+
+def tied_crf(rng, T):
+    """A CRF whose scores, like the emissions of tied_emissions, are halves:
+    many paths tie exactly, and some scores are -0.0."""
+    crf = Crf(T, rng)
+    for p in (crf.trans, crf.start, crf.end):
+        p.data[...] = np.round(rng.normal(0.0, 1.0, p.data.shape) * 2) / 2
+    return crf
+
+
+def tied_emissions(rng, T, count, longest):
+    return [np.round(rng.normal(0.0, 1.0, (int(n), T)) * 2) / 2
+            for n in rng.integers(1, longest + 1, size=count)]
+
+
+@pytest.mark.parametrize("T", [2, 4, 9])
+def test_batched_viterbi_matches_one_sentence_with_exact_ties(T):
+    rng = np.random.default_rng(T)
+    for _ in range(200):
+        crf = tied_crf(rng, T)
+        ems = tied_emissions(rng, T, int(rng.integers(1, 41)), 30)
+        ems += [ems[0]]  # a duplicate
+        alone = [viterbi_one(em, crf) for em in ems]
+        assert viterbi_decode(ems, crf) == [path for path, _ in alone]
+        # the scores, from one batch sorted longest first
+        order = sorted(range(len(ems)), key=lambda i: -len(ems[i]))
+        paths, scores = _viterbi([ems[i] for i in order], crf)
+        for k, i in enumerate(order):
+            assert paths[k] == alone[i][0]
+            assert_same_bits(scores[k], alone[i][1])
+    # all scores equal: every tie goes to the lowest tag index
+    crf = Crf(T, rng)
+    crf.trans.data[...] = 0.0
+    assert viterbi_decode([np.zeros((3, T)), np.zeros((1, T))], crf) == [[0, 0, 0], [0]]
+
+
+def test_viterbi_takes_one_matrix_or_a_list_and_splits_by_the_bound(monkeypatch):
+    rng = np.random.default_rng(1)
+    crf = tied_crf(rng, 4)
+    ems = tied_emissions(rng, 4, 60, 60)
+    whole = viterbi_decode(ems, crf)
+    assert [viterbi_decode(em, crf) for em in ems] == whole
+    assert viterbi_decode(Tensor(ems[0]), crf) == whole[0]
+    assert viterbi_decode([], crf) == []
+    batches = []
+    monkeypatch.setattr(layers, "BATCH_ELEMENTS", 30 * 4 * 5)  # 5 rows of length 30
+    decode = crf_module._viterbi
+    monkeypatch.setattr(crf_module, "_viterbi",
+                        lambda batch, crf: batches.append(len(batch)) or decode(batch, crf))
+    assert viterbi_decode(ems, crf) == whole
+    assert len(batches) > 5 and max(batches) > 1 and sum(batches) == len(ems)
+
+
+def token_spans(lengths):
+    """Spans of tokens of the given lengths joined by single spaces."""
+    starts = np.cumsum([n + 1 for n in lengths]) - [n + 1 for n in lengths]
+    return [(int(s), int(s) + n) for s, n in zip(starts, lengths)]
+
+
+@pytest.mark.parametrize("emb,hidden", BATCH_DIMS)
+def test_batched_char_cnn_matches_one_sentence_at_a_time(emb, hidden):
+    rng = np.random.default_rng(hidden)
+    cnn = CharCNN(emb, hidden, 3, rng)
+    jitter(cnn.named_params(), 1)
+    sentences = []
+    for count in rng.permutation(np.arange(1, 61))[:24 if hidden == 256 else 60]:
+        lengths = [int(n) for n in rng.integers(1, 12, size=count)]
+        chars = rng.normal(0.0, 1.0, (sum(lengths) + count - 1, emb))
+        chars[rng.random(chars.shape) < 0.05] = -0.0
+        sentences.append((chars, lengths))
+    sentences += [sentences[2], sentences[5]]
+    offsets = np.cumsum([len(c) for c, _ in sentences]) - [len(c) for c, _ in sentences]
+    spans = [(a + o, b + o) for (_, lengths), o in zip(sentences, offsets)
+             for a, b in token_spans(lengths)]
+    with no_grad():
+        batched = cnn(Tensor(np.concatenate([c for c, _ in sentences])), spans,
+                      [len(lengths) for _, lengths in sentences]).data
+        alone = [cnn(Tensor(c), token_spans(lengths)).data for c, lengths in sentences]
+        assert_same_bits(cnn(Tensor(sentences[0][0]), token_spans(sentences[0][1]),
+                             [len(sentences[0][1])]).data, alone[0])
+    assert_same_bits(batched, np.concatenate(alone))
+
+
+@pytest.mark.parametrize("emb,hidden", BATCH_DIMS)
+def test_linear_over_a_list_matches_one_input_at_a_time(emb, hidden):
+    rng = np.random.default_rng(emb)
+    for out_dim in (2, 9, hidden):
+        lin = Linear(2 * hidden, out_dim, rng)
+        jitter(lin.named_params(), out_dim)
+        xs = [Tensor(rng.normal(0.0, 1.0, (int(n), 2 * hidden))) for n in rng.integers(1, 61, 30)]
+        with no_grad():
+            batched = lin(xs)
+            assert len(lin(xs[:1])) == 1
+            for x, out in zip(xs, batched):
+                assert_same_bits(out.data, lin(x).data)
+    with pytest.raises(InputError, match="no_grad"):
+        lin(xs)
+
+
+def test_batched_elementwise_ops_give_each_row_the_floats_of_its_own_call():
+    """tanh, softmax and the max of reduceat run once over the rows of a
+    whole batch; a SIMD loop must not give a row other floats for standing
+    at another position in the array."""
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        rows, cols = int(rng.integers(1, 400)), int(rng.choice([1, 2, 3, 7, 16, 24]))
+        x = rng.normal(0.0, 4.0, (rows, cols))
+        x[rng.random(x.shape) < 0.05] = -0.0
+        a = int(rng.integers(rows))
+        b = int(rng.integers(a + 1, rows + 1))
+        assert_same_bits(np.tanh(x)[a:b], np.tanh(x[a:b].copy()))
+        pairs = x[:, :2] if cols >= 2 else np.concatenate([x, -x], axis=1)
+        assert_same_bits(softmax_np(pairs, axis=-1)[a:b], softmax_np(pairs[a:b].copy(), axis=-1))
+        firsts = np.unique(np.append(rng.integers(0, rows, size=5), 0))
+        ends = np.append(firsts[1:], rows)
+        maxima = np.maximum.reduceat(x, firsts, axis=0)
+        for k, (first, end) in enumerate(zip(firsts, ends)):
+            assert_same_bits(maxima[k], np.maximum.reduceat(x[first:end].copy(), [0], axis=0)[0])
+
+
+def test_tag_lowercases_each_sentence_once(tmp_path, monkeypatch):
+    model = tagger(MODE_PREDICTED, 3, 2)
+    model.save(str(tmp_path / "ner.ctr"))
+    data = sentences()
+    write_conll(data, str(tmp_path / "in.conll"))
+    calls = []
+    for module in (ner_module, truecaser_module):
+        original = module.lowercase_keep_length
+        monkeypatch.setattr(module, "lowercase_keep_length",
+                            lambda text, f=original: calls.append(text) or f(text))
+    assert main(["tag", "--model", str(tmp_path / "ner.ctr"), "--input",
+                 str(tmp_path / "in.conll"), "--output", str(tmp_path / "out.conll"),
+                 "--lowercase"]) == 0
+    assert calls == [" ".join(ex.tokens) for ex in data]
+    lowered = lowercase_dataset(data)
+    tags = predict_tags(NerModel.load(str(tmp_path / "ner.ctr")), lowered)
+    assert read_conll(str(tmp_path / "out.conll")) == [
+        NerExample(ex.tokens, ex_tags) for ex, ex_tags in zip(lowered, tags)]

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 import casetag.ner as ner_module
 from casetag.config import RunConfig
-from casetag.errors import AlignmentError, ConfigError
+from casetag.data import read_embeddings
+from casetag.errors import AlignmentError, ConfigError, ParseError
 from casetag.metrics import Span, bio_decode
 from casetag.nn import BiLSTM, Tensor, gradient_check, no_grad
 from casetag.nn.tensor import _toposort
@@ -103,7 +104,7 @@ def test_predicted_mode_distribution_count_checked(monkeypatch):
     data = tiny_dataset()
     model = tiny_model(data, mode=MODE_PREDICTED, truecaser=tiny_truecaser(data))
     monkeypatch.setattr(ner_module, "case_distributions",
-                        lambda truecaser, token_lists: [np.zeros((2, 2)) for _ in token_lists])
+                        lambda truecaser, texts: [np.zeros((2, 2)) for _ in texts])
     with pytest.raises(AlignmentError) as err:
         model.emissions(data[0])
     assert "Alan visited Boston ." in str(err.value)
@@ -126,8 +127,8 @@ def test_constant_halves_equal_manual_concat(monkeypatch):
     with no_grad():
         via_truecaser = model.emissions(ex)
         monkeypatch.setattr(ner_module, "case_distributions",
-                            lambda truecaser, token_lists:
-                            [np.full((len(" ".join(tokens)), 2), 0.5) for tokens in token_lists])
+                            lambda truecaser, texts:
+                            [np.full((len(text), 2), 0.5) for text in texts])
         manual = model.emissions(ex)
     assert np.allclose(via_truecaser.data, manual.data, atol=1e-12, rtol=0)
 
@@ -144,9 +145,9 @@ CASING_ALPHABET = "aZ\u00df\u0130\u01c5\ufb01\u0301\u0327\u03a3."
 def test_case_vector_path_aligns_on_unicode_casing(tokens):
     data = tiny_dataset()
     model = tiny_model(data, mode=MODE_PREDICTED, truecaser=tiny_truecaser(data))
-    rows, = case_distributions(model.truecaser, [tokens])
-    assert rows.shape == (len(" ".join(tokens)), 2)
     example = NerExample(tokens, ["O"] * len(tokens))
+    rows, = case_distributions(model.truecaser, [example.lowered_text()])
+    assert rows.shape == (len(" ".join(tokens)), 2)
     for ex in (example, lowercase_example(example)):
         with no_grad():
             assert model.emissions(ex).shape == (len(tokens), len(model.tagset))
@@ -443,3 +444,66 @@ def test_model_file_load_save_byte_identical(tmp_path):
     model.save(str(p1))
     NerModel.load(str(p1)).save(str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def write_vectors(path, words, dim, seed):
+    rng = np.random.default_rng(seed)
+    path.write_text("".join(" ".join([word] + [repr(float(v)) for v in rng.normal(size=dim)])
+                            + "\n" for word in words), encoding="utf-8")
+
+
+def embeddings_model(tmp_path, mode):
+    """A tiny tagger trained for one epoch on frozen word vectors for every
+    other word of its data, read from a file."""
+    data = tiny_dataset()
+    emb = tmp_path / "emb.txt"
+    write_vectors(emb, build_word_list(data)[::2], TINY["word_emb_dim"], seed=3)
+    cfg = RunConfig(case_mode=mode, seed=5, epochs=1, patience=0, **TINY)
+    tc = tiny_truecaser(data, seed=5) if mode == MODE_PREDICTED else None
+    model = NerModel(read_embeddings(str(emb), cfg.word_emb_dim), build_tagset(data),
+                     build_char_vocab(data), cfg, truecaser=tc, seed=5)
+    return train_ner(data, model), data
+
+
+@pytest.mark.parametrize("mode", [MODE_NONE, MODE_PREDICTED, MODE_GOLD])
+def test_frozen_embeddings_survive_save_and_load(tmp_path, mode):
+    model, data = embeddings_model(tmp_path, mode)
+    assert not model.word_table.trainable
+    path = tmp_path / "ner.ctr"
+    model.save(str(path))
+    again = NerModel.load(str(path))
+    # the in-memory model with every weight rounded as the file stores it
+    weights = [model.word_table.vectors] + [p for _, p in model.named_params()]
+    if model.truecaser is not None:
+        weights += [p for _, p in model.truecaser.named_params()]
+    for p in weights:
+        p.data[...] = p.data.astype(np.float32)
+    with no_grad():
+        for a, b in zip(again.emissions(data), model.emissions(data)):
+            assert np.array_equal(a.data, b.data)
+    assert predict_tags(again, data) == predict_tags(model, data)
+
+
+def test_model_file_without_its_frozen_vectors_is_a_parse_error(tmp_path):
+    # a tagger file written before frozen vectors were stored
+    model, _ = embeddings_model(tmp_path, MODE_NONE)
+    container = model.to_container()
+    del container.arrays["ner.words.vectors"]
+    path = tmp_path / "old.ctr"
+    container.save(str(path))
+    with pytest.raises(ParseError, match=f"{path}.*ner.words.vectors"):
+        NerModel.load(str(path))
+
+
+def test_load_draws_no_random_initialisation(tmp_path, monkeypatch):
+    data = tiny_dataset()
+    model = tiny_model(data, mode=MODE_PREDICTED, truecaser=tiny_truecaser(data), seed=4)
+    path = tmp_path / "ner.ctr"
+    model.save(str(path))
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a load drew a random initialisation")
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    again = NerModel.load(str(path))
+    again.save(str(tmp_path / "again.ctr"))
+    assert (tmp_path / "again.ctr").read_bytes() == path.read_bytes()

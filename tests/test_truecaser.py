@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from casetag.config import RunConfig
 from casetag.errors import ConfigError, InputError
 from casetag.metrics import char_f1
+from casetag.ner import NerExample, lowercase_example
 from casetag.nn import Tensor
 from casetag.truecaser import (
     LOWER,
@@ -266,20 +267,20 @@ def test_apply_uppercases_exact_ties():
 
 def test_distributions_for_tokens_shapes():
     model = tiny_model()
-    rows = case_distributions(model, [["ab", "b"], ["abba"], []])
+    rows = case_distributions(model, ["ab b", "abba", ""])
     assert [r.shape for r in rows] == [(4, 2), (4, 2), (0, 2)]
 
 
 def test_distributions_match_joined_input():
     model = tiny_model()
-    rows, = case_distributions(model, [["AB", "b"]])  # lowercased internally
+    rows, = case_distributions(model, [NerExample(["AB", "b"], ["O", "O"]).lowered_text()])
     assert np.array_equal(rows, model.distributions("ab b"))
 
 
 @given(st.lists(st.text(alphabet="abc", min_size=1, max_size=5), min_size=1, max_size=4))
 def test_alignment_property_counts(tokens):
     model = tiny_model()
-    rows, = case_distributions(model, [tokens])
+    rows, = case_distributions(model, [" ".join(tokens)])
     assert len(rows) == len(" ".join(tokens))
 
 
@@ -314,3 +315,46 @@ def test_save_load_roundtrip(tmp_path):
 
 def test_lowercase_keep_length_counts_multichar():
     assert lowercase_keep_length("İAB") == "İab"  # "İ".lower() is two characters
+
+
+def per_character_lower(text):
+    """lowercase_keep_length's rule, one character at a time."""
+    return "".join(ch.lower() if len(ch.lower()) == 1 else ch for ch in text)
+
+
+# dotted capital I (two characters when lowercased), capital sharp s, a
+# capital sigma that str.lower() makes final, combining marks, titlecase dz
+UNICODE_CASING = ["\u0130", "\u1e9e", "\u03a3\u0391\u03a3", "A\u0301", "\u0327", "\u01c5",
+                  "\u00df", "\ufb01"]
+unicode_text = st.text(st.one_of(st.characters(), st.sampled_from("".join(UNICODE_CASING))))
+
+
+@given(unicode_text)
+def test_lowercase_keep_length_is_per_character_on_any_text(text):
+    assert lowercase_keep_length(text) == per_character_lower(text)
+
+
+@given(st.text(st.characters(max_codepoint=127)))
+def test_lowercase_keep_length_is_str_lower_on_ascii(text):
+    assert lowercase_keep_length(text) == text.lower() == per_character_lower(text)
+
+
+def test_lowercase_keep_length_on_the_cases_str_lower_gets_wrong():
+    for text in UNICODE_CASING + ["".join(UNICODE_CASING), "Alan MET rob"]:
+        assert lowercase_keep_length(text) == per_character_lower(text)
+        assert len(lowercase_keep_length(text)) == len(text)
+    assert lowercase_keep_length("\u03a3\u0391\u03a3") == "\u03c3\u03b1\u03c3"  # no final sigma
+    assert "\u03a3\u0391\u03a3".lower() == "\u03c3\u03b1\u03c2"
+
+
+@given(st.lists(unicode_text.filter(bool), min_size=1, max_size=6))
+def test_carried_lowered_text_is_the_per_character_lowercase_of_the_joined_tokens(tokens):
+    example = NerExample(list(tokens), ["O"] * len(tokens))
+    want = per_character_lower(" ".join(tokens))
+    assert example.lowered_text() == want
+    lowered = lowercase_example(example)
+    assert lowered.tokens == [per_character_lower(tok) for tok in tokens]
+    assert lowered.cased_tokens == tokens
+    assert lowered.lowered_text() == per_character_lower(" ".join(lowered.tokens)) == want
+    again = lowercase_example(lowered)
+    assert again.tokens == lowered.tokens and again.lowered_text() == want
